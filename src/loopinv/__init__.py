@@ -8,158 +8,15 @@ fixed point is the putative invariant (`find_invariant`).  Bounded
 testing then instantiates its generalisation variables (`solve`) and
 checks the classical invariant requirements up to a domain bound
 (`check_requirements`).
+
+The package exports the entry points of that pipeline; everything else
+is imported from its module (`loopinv.solver`, `loopinv.terms`, ...).
 """
 
-from .embedding import FreshSupply, GenResult, coupled, embeds, generalise, msg, msg_list
-from .engine import (
-    DerivationTrace,
-    EngineConfig,
-    EngineFailure,
-    LoopDiscovery,
-    TraceStep,
-    annotate_program,
-    find_invariant,
-)
-from .evaluator import (
-    EvalError,
-    ExecError,
-    Finished,
-    FuelExhausted,
-    eval_expr,
-    exec_stmt,
-    holds,
-)
-from .parser import ParseError, parse_expression, parse_program, pretty
-from .simplifier import RULE_NAMES, RewriteEvent, SimpConfig, simplify
-from .solver import (
-    Assignment,
-    Failed,
-    InvariantReport,
-    LoopRun,
-    SolveStats,
-    SolverConfig,
-    SolverFailure,
-    VerifiedUpToBound,
-    check_requirements,
-    collect_trajectories,
-    diagnose_lost_variables,
-    input_vars,
-    solve,
-)
-from .terms import (
-    FALSE,
-    TRUE,
-    Assign,
-    Block,
-    Case,
-    Ctor,
-    Expr,
-    If,
-    Num,
-    Op,
-    Seq,
-    Skip,
-    SortError,
-    Stmt,
-    Triple,
-    Var,
-    While,
-    alpha_eq,
-    conjoin,
-    free_vars,
-    program_vars,
-    renaming_of,
-    sort_of,
-    substitute,
-)
-from .wlp import (
-    LOOP_MODES,
-    LocalsInPostcondition,
-    UnannotatedLoop,
-    VCSet,
-    WlpError,
-    entry_context,
-    top_conjuncts,
-    vcs_for_loop,
-    wlp,
-)
+from .engine import annotate_program
+from .parser import parse_program
+from .solver import SolverFailure, solve
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assign",
-    "Assignment",
-    "Block",
-    "Case",
-    "Ctor",
-    "DerivationTrace",
-    "EngineConfig",
-    "EngineFailure",
-    "EvalError",
-    "ExecError",
-    "Expr",
-    "FALSE",
-    "Failed",
-    "Finished",
-    "FreshSupply",
-    "FuelExhausted",
-    "GenResult",
-    "If",
-    "InvariantReport",
-    "LOOP_MODES",
-    "LocalsInPostcondition",
-    "LoopDiscovery",
-    "LoopRun",
-    "Num",
-    "Op",
-    "ParseError",
-    "RULE_NAMES",
-    "RewriteEvent",
-    "Seq",
-    "SimpConfig",
-    "Skip",
-    "SolveStats",
-    "SolverConfig",
-    "SolverFailure",
-    "SortError",
-    "Stmt",
-    "TRUE",
-    "TraceStep",
-    "Triple",
-    "UnannotatedLoop",
-    "VCSet",
-    "Var",
-    "VerifiedUpToBound",
-    "WlpError",
-    "While",
-    "alpha_eq",
-    "annotate_program",
-    "check_requirements",
-    "collect_trajectories",
-    "conjoin",
-    "coupled",
-    "diagnose_lost_variables",
-    "embeds",
-    "entry_context",
-    "eval_expr",
-    "exec_stmt",
-    "find_invariant",
-    "free_vars",
-    "generalise",
-    "holds",
-    "input_vars",
-    "msg",
-    "msg_list",
-    "parse_expression",
-    "parse_program",
-    "pretty",
-    "program_vars",
-    "renaming_of",
-    "simplify",
-    "solve",
-    "sort_of",
-    "substitute",
-    "top_conjuncts",
-    "vcs_for_loop",
-    "wlp",
-]
+__all__ = ["SolverFailure", "annotate_program", "parse_program", "solve"]

@@ -28,7 +28,7 @@ import os
 import sys
 
 from .engine import EngineConfig, LoopDiscovery, annotate_program
-from .evaluator import holds
+from .evaluator import holds, stores
 from .parser import ParseError, parse_program, pretty
 from .simplifier import RULE_NAMES, SimpConfig
 from .solver import (
@@ -39,10 +39,8 @@ from .solver import (
     diagnose_lost_variables,
     solve,
 )
-from .terms import Expr, Op, Seq, Skip, Stmt, Triple, While, free_vars, program_vars
+from .terms import Expr, Op, Seq, Skip, Stmt, Triple, While, free_vars, program_vars, substatements
 from .wlp import LOOP_MODES, WlpError, entry_context, vcs_for_loop, wlp
-
-import itertools
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -249,26 +247,8 @@ def _reseq(stmts: list[Stmt]) -> Stmt:
     return out
 
 
-def _all_loops(st: Stmt) -> list[While]:
-    from .terms import Assign, Block, If
-
-    match st:
-        case While(_, body) as loop:
-            return [loop] + _all_loops(body)
-        case Seq(a, b):
-            return _all_loops(a) + _all_loops(b)
-        case If(_, t, e):
-            return _all_loops(t) + _all_loops(e)
-        case Block(_, inner):
-            return _all_loops(inner)
-        case _:
-            return []
-
-
 def _counterexample(formula: Expr, bound: int) -> dict[str, int] | None:
-    names = sorted(free_vars(formula))
-    for values in itertools.product(range(bound + 1), repeat=len(names)):
-        store = dict(zip(names, values))
+    for store in stores(sorted(free_vars(formula)), bound):
         if not holds(formula, store):
             return store
     return None
@@ -276,7 +256,7 @@ def _counterexample(formula: Expr, bound: int) -> dict[str, int] | None:
 
 def _verify(triple: Triple, args: argparse.Namespace) -> int:
     known = program_vars(triple)
-    for loop in _all_loops(triple.program):
+    for loop in (st for st in substatements(triple.program) if isinstance(st, While)):
         where = f"line {loop.line}" if loop.line is not None else "unknown line"
         if loop.invariant is None:
             print(

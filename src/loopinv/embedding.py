@@ -11,7 +11,7 @@ over a finite alphabet some earlier term embeds in a later one.  Rules:
 Two terms are *coupled* when the final rule is a top-level coupling —
 same head functor with argwise embedding.  Numerals participate through
 their unary view (Num n is Succ applied n times to Zero), so 1 ⊴ 2 and
-the two are coupled; bound variables couple only on equal indices.
+the two are coupled.
 
 Generalisation ⊓ recurses through equal functors and introduces one
 fresh variable per mismatched position (no sharing).  The most specific
@@ -29,21 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .terms import (
-    App,
-    BoundVar,
-    Call,
-    Case,
-    Ctor,
-    Expr,
-    Lam,
-    Num,
-    Op,
-    TRUE,
-    Var,
-    Where,
-    substitute,
-)
+from .terms import TRUE, Case, Ctor, Expr, Num, Op, Var, substitute
 
 
 @dataclass
@@ -84,23 +70,13 @@ def view(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
             return ("ctor", "Zero"), ()
         case Num(n):
             return ("ctor", "Succ"), (Num(n - 1),)
-        case Ctor(name, args):
-            return ("ctor", name), args
+        case Ctor(name):
+            return ("ctor", name), ()
         case Op(op, args):
             return ("op", op), args
-        case Lam(body):
-            return ("lam",), (body,)
-        case BoundVar(i):
-            return ("bvar", i), ()
-        case Call(name):
-            return ("call", name), ()
-        case App(fun, arg):
-            return ("app",), (fun, arg)
         case Case(scrut, branches):
             shape = tuple((n, k) for n, k, _ in branches)
             return ("case", shape), (scrut,) + tuple(b for _, _, b in branches)
-        case Where(main, defs):
-            return ("where", tuple(f for f, _ in defs)), (main,) + tuple(d for _, d in defs)
         case _:
             raise TypeError(f"no view for {e!r}")
 
@@ -166,23 +142,15 @@ def _gen_view(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
 def _rebuild(e: Expr, args: tuple[Expr, ...]) -> Expr:
     """Put new children into e's shape (same head as e)."""
     match e:
-        case Ctor(name, _):
-            return Ctor(name, args)
         case Op(op, _):
             return Op(op, args)
-        case Lam(_):
-            return Lam(args[0])
-        case App(_, _):
-            return App(args[0], args[1])
         case Case(_, branches):
             new_branches = tuple(
                 (n, k, body) for (n, k, _), body in zip(branches, args[1:])
             )
             return Case(args[0], new_branches)
-        case Where(_, defs):
-            return Where(args[0], tuple((f, d) for (f, _), d in zip(defs, args[1:])))
         case _:
-            return e  # leaves: Num, BoundVar, Call, Var
+            return e  # leaves: Num, Ctor, Var
 
 
 def generalise(e1: Expr, e2: Expr, fresh: FreshSupply) -> GenResult:

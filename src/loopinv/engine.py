@@ -61,9 +61,6 @@ class TraceStep:
 class DerivationTrace:
     steps: list[TraceStep] = field(default_factory=list)
 
-    def formulas(self, kinds: tuple[str, ...] = ("Init", "WLPStep", "GeneraliseStep")) -> list[Expr]:
-        return [s.formula for s in self.steps if s.kind in kinds]
-
 
 class EngineFailure(Exception):
     """Invariant search failed; kind ∈ {IterationBudget, AllBranchesTrue,

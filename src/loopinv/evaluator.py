@@ -13,29 +13,12 @@ is how trajectory collection is implemented.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable
 
-from .terms import (
-    App,
-    Assign,
-    Block,
-    BoundVar,
-    Call,
-    Case,
-    Ctor,
-    Expr,
-    If,
-    Lam,
-    Num,
-    Op,
-    Seq,
-    Skip,
-    Stmt,
-    Var,
-    While,
-    Where,
-)
+from .terms import Assign, Block, Case, Ctor, Expr, If, Num, Op, Seq, Skip, Stmt, Var, While
 
 Store = dict[str, int]
 
@@ -81,14 +64,8 @@ def eval_expr(e: Expr, store: Store) -> int | bool:
                 raise EvalError("UnboundVar", name) from None
         case Num(value):
             return value
-        case Ctor("True", _):
-            return True
-        case Ctor("False", _):
-            return False
-        case Ctor("Zero", _):
-            return 0
-        case Ctor("Succ", (arg,)):
-            return eval_expr(arg, store) + 1
+        case Ctor(name):
+            return name == "True"
         case Op("¬", (a,)):
             return not eval_expr(a, store)
         case Op("∧", (a, b)):
@@ -137,8 +114,6 @@ def eval_expr(e: Expr, store: Store) -> int | bool:
                     if name == want and arity == 0:
                         return eval_expr(body, store)
             raise ValueError(f"unsupported case scrutinee {v!r}")
-        case Lam() | BoundVar() | Call() | App() | Where():
-            raise ValueError(f"cannot evaluate higher-order node {type(e).__name__}")
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -157,6 +132,12 @@ def holds(e: Expr, store: Store, errors: list[EvalError] | None = None) -> bool:
     if not isinstance(v, bool):
         raise ValueError(f"holds() needs a boolean expression, got value {v!r}")
     return v
+
+
+def stores(names: list[str], bound: int) -> Iterator[Store]:
+    """Every store over `names` with values ≤ bound, in lexicographic order."""
+    for values in itertools.product(range(bound + 1), repeat=len(names)):
+        yield dict(zip(names, values))
 
 
 class _OutOfFuel(Exception):

@@ -18,6 +18,10 @@ assertion is the program's own postcondition.
 Programs are sort-checked at parse time: program variables are naturals,
 conditions and contracts must be boolean, assignment right-hand sides
 natural.
+
+Parentheses, negations, implications and compound statements may nest at
+most ``MAX_NESTING`` levels deep; deeper input is a parse error rather
+than an exhausted interpreter stack.
 """
 
 from __future__ import annotations
@@ -45,13 +49,7 @@ from .terms import (
     TRUE,
     Case,
     Ctor,
-    Lam,
-    BoundVar,
-    Call,
-    App,
-    Where,
     BOOL_BINOPS,
-    NAT_OPS,
     REL_OPS,
 )
 
@@ -71,6 +69,11 @@ class Token:
     line: int
     col: int
 
+
+# A parenthesis level costs eleven parser frames (the whole precedence
+# ladder), so the deepest input stays inside the interpreter's default
+# recursion limit of 1000.
+MAX_NESTING = 64
 
 KEYWORDS = {"SKIP", "IF", "THEN", "ELSE", "WHILE", "DO", "BEGIN", "END", "VAR", "TRUE", "FALSE"}
 
@@ -164,6 +167,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -194,6 +198,16 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def nested(self, parse):
+        """Run `parse` one nesting level deeper, within MAX_NESTING."""
+        if self.depth >= MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # -- expressions -------------------------------------------------------
 
     def expression(self) -> Expr:
@@ -202,7 +216,7 @@ class _Parser:
     def _implies(self) -> Expr:
         left = self._or()
         if self.accept("OP", "⇒"):
-            return Op("⇒", (left, self._implies()))  # right-assoc
+            return Op("⇒", (left, self.nested(self._implies)))  # right-assoc
         return left
 
     def _or(self) -> Expr:
@@ -257,7 +271,7 @@ class _Parser:
 
     def _unary(self) -> Expr:
         if self.accept("OP", "¬"):
-            return Op("¬", (self._unary(),))
+            return Op("¬", (self.nested(self._unary),))
         return self._atom()
 
     def _atom(self) -> Expr:
@@ -275,7 +289,7 @@ class _Parser:
             self.advance()
             return FALSE
         if self.accept("LPAREN"):
-            e = self.expression()
+            e = self.nested(self.expression)
             self.expect("RPAREN")
             return e
         raise self.fail(f"expected an expression, got {tok.value or tok.kind!r}")
@@ -313,9 +327,9 @@ class _Parser:
                     self.advance()
                     cond = self.assertion("condition")
                     self.expect("KW", "THEN")
-                    then_branch = self.basic_statement()
+                    then_branch = self.nested(self.basic_statement)
                     if self.accept("KW", "ELSE"):
-                        else_branch = self.basic_statement()
+                        else_branch = self.nested(self.basic_statement)
                     else:
                         else_branch = Skip()
                     return If(cond, then_branch, else_branch)
@@ -330,7 +344,7 @@ class _Parser:
                             names.append(self.expect("IDENT", what="variable name").value)
                         self.expect("SEMI")
                         locals_ = tuple(names)
-                    body = self.statements()
+                    body = self.nested(self.statements)
                     self.expect("KW", "END")
                     if locals_:
                         return Block(locals_, body)
@@ -350,7 +364,7 @@ class _Parser:
         if self.accept("LBRACE"):
             invariant = self.assertion("loop invariant")
             self.expect("RBRACE")
-        body = self.basic_statement()
+        body = self.nested(self.basic_statement)
         post = None
         # A trailing {q} is this loop's postcondition unless it is the last
         # thing in the file, in which case it is the program postcondition.
@@ -394,27 +408,13 @@ def parse_program(text: str) -> Triple:
 _PREC = {"⇒": 1, "∨": 2, "∧": 3}
 _PREC.update({op: 4 for op in REL_OPS})
 _PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6, "^": 7, "¬": 8})
-_ATOM = 9
-
-
-def _numeral(e: Expr) -> int | None:
-    """Fold a Succ-chain over Zero/Num into a plain number, if possible."""
-    k = 0
-    while isinstance(e, Ctor) and e.name == "Succ":
-        k += 1
-        e = e.args[0]
-    if isinstance(e, Num):
-        return e.value + k
-    if isinstance(e, Ctor) and e.name == "Zero":
-        return k
-    return None
 
 
 def pretty(x: Expr | Stmt | Triple) -> str:
     """Render with unicode operators and minimal parentheses.
 
     Arithmetic and relational operators print tight (``x+1``, ``x%2=1``);
-    boolean connectives are spaced.  Numeral Succ-chains fold to decimal.
+    boolean connectives are spaced.
     """
     if isinstance(x, Triple):
         return f"{{{pretty(x.pre)}}}\n{pretty(x.program)}\n{{{pretty(x.post)}}}"
@@ -424,15 +424,14 @@ def pretty(x: Expr | Stmt | Triple) -> str:
 
 
 def _pretty_expr(e: Expr, parent: int, side: str) -> str:
-    n = _numeral(e)
-    if n is not None:
-        return str(n)
     match e:
         case Var(name):
             return name
-        case Ctor("True", _):
+        case Num(value):
+            return str(value)
+        case Ctor("True"):
             return "true"
-        case Ctor("False", _):
+        case Ctor("False"):
             return "false"
         case Op("¬", (a,)):
             return "¬" + _pretty_expr(a, _PREC["¬"], "right")
@@ -453,23 +452,9 @@ def _pretty_expr(e: Expr, parent: int, side: str) -> str:
                 f"{_pretty_expr(t, 0, '')} else {_pretty_expr(f, 0, '')}"
             )
             return f"({body})" if parent > 0 else body
-        case Lam(body):
-            s = f"λ.{_pretty_expr(body, 0, '')}"
-            return f"({s})" if parent > 0 else s
-        case BoundVar(i):
-            return f"#{i}"
-        case Call(name):
-            return name
-        case App(fun, arg):
-            return f"{_pretty_expr(fun, _ATOM, 'left')}({_pretty_expr(arg, 0, '')})"
         case Case(scrut, branches):
             arms = " | ".join(f"{n}/{k} -> {_pretty_expr(b, 0, '')}" for n, k, b in branches)
             return f"(case {_pretty_expr(scrut, 0, '')} of {arms})"
-        case Where(main, defs):
-            binds = ", ".join(f"{f} = {_pretty_expr(d, 0, '')}" for f, d in defs)
-            return f"({_pretty_expr(main, 0, '')} where {binds})"
-        case Ctor("Succ", (a,)):
-            return f"succ({_pretty_expr(a, 0, '')})"
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 

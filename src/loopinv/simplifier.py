@@ -201,8 +201,6 @@ class _Simplifier:
         match e:
             case Op(op, args):
                 e = Op(op, tuple(self._walk(a, facts, rule) for a in args))
-            case Ctor(name, args) if args:
-                e = Ctor(name, tuple(self._walk(a, facts, rule) for a in args))
         return rule(e, facts)
 
     # -- individual rules ----------------------------------------------------
@@ -287,9 +285,9 @@ class _Simplifier:
                         "≠": a != b,
                     }[rel]
                     after: Expr = TRUE if value else Ctor("False")
-                case Op("∧", (Ctor("True", _), b)):
+                case Op("∧", (Ctor("True"), b)):
                     after = b
-                case Op("∧", (a, Ctor("True", _))):
+                case Op("∧", (a, Ctor("True"))):
                     after = a
                 case Op("∧", (a, b)) if a == b:
                     after = a

@@ -27,7 +27,7 @@ the post-store: the invariant's conjuncts that mention the variable,
 evaluated at the post-store, admit two or more values for it (``y = 0``
 in ``y*g = 0^n`` admits every value).  That keeps division steps like
 ``g/k`` alive on the ``k = 0`` runs, where nothing is left to track.
-Where the conjuncts pin the next value, or admit none, the error
+When the conjuncts pin the next value, or admit none, the error
 rejects the candidate.  The admitted values are computed by inverting
 an equation through ``+`` and ``*`` along the one occurrence of the
 variable; for any other shape the rule cannot tell and the error
@@ -62,9 +62,12 @@ conditional expressions choosing between two templates by the branch
 condition.  Their branch templates are prefiltered per template size,
 when the pair enumeration first reaches that size, and each viability
 test counts against ``max_candidates`` like a candidate.  The assembled
-assignment is re-verified from scratch by ``check_requirements``, an
-independent implementation of the three checks, and that verdict is
-what gets reported.
+assignment is re-verified from scratch by ``check_requirements``, and
+that verdict is what gets reported.  It walks requirements 1 and 2 on
+its own, shares requirement 3's store enumeration with the search, and
+also demands the postcondition on the exit stores of the observed runs,
+which the search does not: a final is not tied to the value the step
+walks its variable to.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .evaluator import EvalError, Finished, Store, eval_expr, exec_stmt, holds
+from .evaluator import EvalError, Finished, Store, eval_expr, exec_stmt, holds, stores
 from .parser import pretty
 from .terms import (
     NAT_OPS,
@@ -91,6 +94,7 @@ from .terms import (
     While,
     free_vars,
     program_vars,
+    substatements,
     substitute,
 )
 from .wlp import top_conjuncts
@@ -168,7 +172,6 @@ class SolverFailure(Exception):
 
     def __init__(self, requirement: int, detail: str, stats: SolveStats):
         super().__init__(f"requirement {requirement}: {detail}")
-        self.kind = "NoCandidate"
         self.requirement = requirement
         self.detail = detail
         self.stats = stats
@@ -236,12 +239,10 @@ def collect_trajectories(
     `loop` is matched by object identity, so pass the node from the very
     program being run.  Runs that do not finish cleanly are skipped."""
     stats = stats if stats is not None else SolveStats()
-    everything = sorted(program_vars(triple))
-    ins = input_vars(triple)
+    zeros = dict.fromkeys(sorted(program_vars(triple)), 0)
     runs: list[LoopRun] = []
-    for values in itertools.product(range(cfg.domain_bound + 1), repeat=len(ins)):
-        store = {v: 0 for v in everything}
-        store.update(zip(ins, values))
+    for inputs in stores(input_vars(triple), cfg.domain_bound):
+        store = {**zeros, **inputs}
         if not holds(triple.pre, store):
             continue
 
@@ -543,7 +544,7 @@ def _walks_trajectories(
     return validated > 0 or not saw_transition
 
 
-def _implies_post(
+def _post_counterexample(
     putative: Expr,
     genvars: tuple[str, ...],
     final: dict[str, Expr],
@@ -551,8 +552,10 @@ def _implies_post(
     post: Expr,
     cfg: SolverConfig,
     stats: SolveStats,
-) -> bool:
-    """Requirement 3 by exhausting stores over the relevant variables."""
+) -> Store | None:
+    """Requirement 3 by exhausting stores over the relevant variables: the
+    first store where the invariant instantiated with `final` and the exit
+    condition hold but `post` does not, or None."""
     inv = substitute(putative, dict(final))
     names = sorted(
         (free_vars(putative) - set(genvars))
@@ -561,12 +564,11 @@ def _implies_post(
         | set().union(*(free_vars(e) for e in final.values()))
     )
     exit_cond = Op("¬", (loop.cond,))
-    for values in itertools.product(range(cfg.domain_bound + 1), repeat=len(names)):
-        store = dict(zip(names, values))
+    for store in stores(names, cfg.domain_bound):
         stats.stores_tested += 1
         if holds(inv, store) and holds(exit_cond, store) and not holds(post, store):
-            return False
-    return True
+            return store
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +732,10 @@ class _Search:
             for tup in _tuples([pool] * len(ordered)):
                 self._spend()
                 final = dict(zip(ordered, tup))
-                if _implies_post(
+                refuting = _post_counterexample(
                     self.putative, self.genvars, final, self.loop, post, self.cfg, self.stats
-                ):
+                )
+                if refuting is None:
                     return final
         except _Budget:
             raise SolverFailure(
@@ -879,20 +882,18 @@ def check_requirements(
             if not holds(putative, {**post_store, **gvals}):
                 return as_failure(2, env_pre)
 
-    # Requirement 3: final instantiation plus exit condition implies the post.
-    inv_final = substitute(putative, dict(assignment.final))
-    names = sorted(
-        (free_vars(putative) - set(genvars))
-        | free_vars(loop.cond)
-        | free_vars(post)
-        | (set().union(*(free_vars(e) for e in assignment.final.values())) if assignment.final else set())
+    # Requirement 3: final instantiation plus exit condition implies the
+    # post.  Nothing ties a final to the value the step walks its variable
+    # to, so the post must also hold where the observed runs exit.
+    counterexample = _post_counterexample(
+        putative, genvars, assignment.final, loop, post, cfg, stats
     )
-    exit_cond = Op("¬", (loop.cond,))
-    for values in itertools.product(range(cfg.domain_bound + 1), repeat=len(names)):
-        store = dict(zip(names, values))
+    if counterexample is not None:
+        return as_failure(3, counterexample)
+    for run in runs:
         stats.stores_tested += 1
-        if holds(inv_final, store) and holds(exit_cond, store) and not holds(post, store):
-            return as_failure(3, store)
+        if not holds(post, run.exit):
+            return as_failure(3, run.exit)
     return VerifiedUpToBound(cfg.domain_bound)
 
 
@@ -901,26 +902,6 @@ def diagnose_lost_variables(putative: Expr, body: Stmt) -> tuple[str, ...]:
     assignment order.  A non-empty result usually means generalisation
     swallowed the variable's update (it only ever appeared as part of a
     larger subterm), so no witness search can succeed."""
-    order: list[str] = []
-
-    def walk(st: Stmt) -> None:
-        match st:
-            case Assign(var, _):
-                if var not in order:
-                    order.append(var)
-            case Seq(a, b):
-                walk(a)
-                walk(b)
-            case If(_, t, e):
-                walk(t)
-                walk(e)
-            case Block(_, inner):
-                walk(inner)
-            case While(_, inner):
-                walk(inner)
-            case _:
-                pass
-
-    walk(body)
     mentioned = free_vars(putative)
-    return tuple(v for v in order if v not in mentioned)
+    assigned = (st.var for st in substatements(body) if isinstance(st, Assign))
+    return tuple(v for v in dict.fromkeys(assigned) if v not in mentioned)

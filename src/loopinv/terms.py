@@ -1,20 +1,19 @@
 """Term language shared by programs and assertions.
 
-A single expression type serves both program arithmetic and boolean
-assertions.  The only binders (lambda, case patterns, where) use de Bruijn
-indices, so structural equality coincides with alpha-equivalence and
-substituting for free names can never capture.  Parsed programs use only
-the first-order fragment (Var/Num/Ctor/Op); the remaining constructors
-exist so the embedding and generalisation machinery is total over the
-full term language.
+A single first-order expression type serves both program arithmetic and
+boolean assertions: variables, numerals, the boolean constants, operator
+applications, and the two-way conditional ``Case`` that the witness
+search builds for conditional steps.  Nothing binds a variable, so
+substituting for free names can never capture.
 
-Numerals are stored compactly as ``Num`` nodes rather than unary
-``Succ``-chains; the embedding view expands them on demand.
+Numerals are stored compactly as ``Num`` nodes; the embedding views them
+as unary successor chains on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 
 class SortError(Exception):
@@ -44,19 +43,15 @@ class Num(Expr):
             raise ValueError(f"numerals are naturals, got {self.value!r}")
 
 
-CTOR_ARITY = {"Zero": 0, "Succ": 1, "True": 0, "False": 0}
-
-
 @dataclass(frozen=True)
 class Ctor(Expr):
+    """A boolean constant."""
+
     name: str
-    args: tuple[Expr, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.name not in CTOR_ARITY:
+        if self.name not in ("True", "False"):
             raise ValueError(f"unknown constructor {self.name!r}")
-        if len(self.args) != CTOR_ARITY[self.name]:
-            raise ValueError(f"{self.name} takes {CTOR_ARITY[self.name]} args, got {len(self.args)}")
 
 
 NAT_OPS = ("+", "-", "*", "/", "%", "^")
@@ -79,53 +74,15 @@ class Op(Expr):
 
 
 @dataclass(frozen=True)
-class Lam(Expr):
-    body: Expr
-
-
-@dataclass(frozen=True)
-class BoundVar(Expr):
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("de Bruijn index must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class App(Expr):
-    fun: Expr
-    arg: Expr
-
-
-@dataclass(frozen=True)
 class Case(Expr):
     scrutinee: Expr
-    # (constructor name, pattern arity, branch body); pattern variables are
-    # referenced from the body as BoundVar 0..arity-1.
+    # (constructor name, pattern arity, branch body); the arity is 0, since
+    # the scrutinee is boolean and no pattern binds a variable.
     branches: tuple[tuple[str, int, Expr], ...]
-
-
-@dataclass(frozen=True)
-class Where(Expr):
-    main: Expr
-    defs: tuple[tuple[str, Expr], ...]
 
 
 TRUE = Ctor("True")
 FALSE = Ctor("False")
-
-
-def succ(e: Expr) -> Expr:
-    """Successor that keeps numerals in compact form."""
-    if isinstance(e, Num):
-        return Num(e.value + 1)
-    return Ctor("Succ", (e,))
 
 
 def conjoin(conjuncts: list[Expr]) -> Expr:
@@ -147,32 +104,22 @@ Subst = dict[str, Expr]
 def substitute(e: Expr, theta: Subst) -> Expr:
     """Simultaneously replace free named variables per theta.
 
-    Simultaneous means a binding's result is never re-substituted.  Bound
-    structure (de Bruijn indices) is untouched; replacement terms must not
-    contain loose BoundVars, which no caller in this package produces.
+    Simultaneous means a binding's result is never re-substituted.
     """
     if not theta:
         return e
     match e:
         case Var(name):
             return theta.get(name, e)
-        case Num() | BoundVar() | Call():
+        case Num() | Ctor():
             return e
-        case Ctor(name, args):
-            return Ctor(name, tuple(substitute(a, theta) for a in args))
         case Op(op, args):
             return Op(op, tuple(substitute(a, theta) for a in args))
-        case Lam(body):
-            return Lam(substitute(body, theta))
-        case App(fun, arg):
-            return App(substitute(fun, theta), substitute(arg, theta))
         case Case(scrut, branches):
             return Case(
                 substitute(scrut, theta),
                 tuple((n, k, substitute(b, theta)) for n, k, b in branches),
             )
-        case Where(main, defs):
-            return Where(substitute(main, theta), tuple((f, substitute(d, theta)) for f, d in defs))
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 
@@ -181,34 +128,20 @@ def free_vars(e: Expr) -> frozenset[str]:
     match e:
         case Var(name):
             return frozenset((name,))
-        case Num() | BoundVar() | Call():
+        case Num() | Ctor():
             return frozenset()
-        case Ctor(_, args) | Op(_, args):
+        case Op(_, args):
             out: frozenset[str] = frozenset()
             for a in args:
                 out |= free_vars(a)
             return out
-        case Lam(body):
-            return free_vars(body)
-        case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
         case Case(scrut, branches):
             out = free_vars(scrut)
             for _, _, b in branches:
                 out |= free_vars(b)
             return out
-        case Where(main, defs):
-            out = free_vars(main)
-            for _, d in defs:
-                out |= free_vars(d)
-            return out
         case _:
             raise TypeError(f"not an Expr: {e!r}")
-
-
-def alpha_eq(e1: Expr, e2: Expr) -> bool:
-    """Alpha-equivalence; structural equality under de Bruijn binders."""
-    return e1 == e2
 
 
 def renaming_of(e1: Expr, e2: Expr, renameable: frozenset[str] | set[str]) -> dict[str, str] | None:
@@ -238,18 +171,10 @@ def renaming_of(e1: Expr, e2: Expr, renameable: frozenset[str] | set[str]) -> di
                 return False
             case (Num(m), Num(n)):
                 return m == n
-            case (BoundVar(i), BoundVar(j)):
-                return i == j
-            case (Call(f), Call(g)):
-                return f == g
-            case (Ctor(n1, a1), Ctor(n2, a2)):
-                return n1 == n2 and all(walk(x, y) for x, y in zip(a1, a2))
+            case (Ctor(n1), Ctor(n2)):
+                return n1 == n2
             case (Op(o1, a1), Op(o2, a2)):
                 return o1 == o2 and len(a1) == len(a2) and all(walk(x, y) for x, y in zip(a1, a2))
-            case (Lam(b1), Lam(b2)):
-                return walk(b1, b2)
-            case (App(f1, x1), App(f2, x2)):
-                return walk(f1, f2) and walk(x1, x2)
             case (Case(s1, br1), Case(s2, br2)):
                 if len(br1) != len(br2) or not walk(s1, s2):
                     return False
@@ -257,10 +182,6 @@ def renaming_of(e1: Expr, e2: Expr, renameable: frozenset[str] | set[str]) -> di
                     n1 == n2 and k1 == k2 and walk(b1, b2)
                     for (n1, k1, b1), (n2, k2, b2) in zip(br1, br2)
                 )
-            case (Where(m1, d1), Where(m2, d2)):
-                if len(d1) != len(d2) or not walk(m1, m2):
-                    return False
-                return all(f1 == f2 and walk(x1, x2) for (f1, x1), (f2, x2) in zip(d1, d2))
             case _:
                 return False
 
@@ -277,20 +198,13 @@ def sort_of(e: Expr) -> str:
     """Infer the sort (nat or bool) of a first-order expression.
 
     Program variables are nat-sorted; operators have fixed signatures.
-    Raises SortError for ill-sorted terms and for higher-order nodes,
-    which have no first-order sort.
+    Raises SortError for ill-sorted terms.
     """
     match e:
         case Var(_) | Num(_):
             return NAT
-        case Ctor("True" | "False", _):
+        case Ctor():
             return BOOL
-        case Ctor("Zero", _):
-            return NAT
-        case Ctor("Succ", (arg,)):
-            if sort_of(arg) != NAT:
-                raise SortError("Succ applied to a boolean")
-            return NAT
         case Op("¬", (a,)):
             if sort_of(a) != BOOL:
                 raise SortError("¬ applied to a natural")
@@ -311,7 +225,7 @@ def sort_of(e: Expr) -> str:
                 raise SortError("case branches disagree on sort")
             return sorts.pop()
         case _:
-            raise SortError(f"no first-order sort for {type(e).__name__}")
+            raise TypeError(f"not an Expr: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +305,28 @@ def assigned_vars(st: Stmt) -> frozenset[str]:
             raise TypeError(f"not a Stmt: {st!r}")
 
 
-def stmt_vars(st: Stmt) -> frozenset[str]:
-    """All variables a statement reads or writes (annotations excluded)."""
+def substatements(st: Stmt) -> Iterator[Stmt]:
+    """`st` and every statement nested in it, in pre-order: a statement
+    before its parts, and parts in source order."""
+    yield st
     match st:
-        case Skip():
-            return frozenset()
-        case Assign(var, rhs):
-            return frozenset((var,)) | free_vars(rhs)
-        case Seq(a, b):
-            return stmt_vars(a) | stmt_vars(b)
-        case If(cond, t, e):
-            return free_vars(cond) | stmt_vars(t) | stmt_vars(e)
-        case Block(locs, body):
-            return frozenset(locs) | stmt_vars(body)
-        case While(cond, body):
-            return free_vars(cond) | stmt_vars(body)
-        case _:
-            raise TypeError(f"not a Stmt: {st!r}")
+        case Seq(a, b) | If(_, a, b):
+            yield from substatements(a)
+            yield from substatements(b)
+        case Block(_, body) | While(_, body):
+            yield from substatements(body)
 
 
 def program_vars(t: Triple) -> frozenset[str]:
-    """Every variable the triple's executable parts or contracts mention."""
-    return stmt_vars(t.program) | free_vars(t.pre) | free_vars(t.post)
+    """Every variable the triple's executable parts or contracts mention
+    (loop annotations excluded)."""
+    names = set(free_vars(t.pre) | free_vars(t.post))
+    for st in substatements(t.program):
+        match st:
+            case Assign(var, rhs):
+                names |= {var} | free_vars(rhs)
+            case If(cond, _, _) | While(cond, _):
+                names |= free_vars(cond)
+            case Block(locs, _):
+                names.update(locs)
+    return frozenset(names)

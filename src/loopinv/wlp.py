@@ -153,18 +153,14 @@ def vcs_for_loop(pre_ctx: Expr, loop: While, post: Expr) -> VCSet:
     )
 
 
-def entry_context(pre: Expr, prefix: Stmt | None, mode: str = "equalities") -> Expr:
+def entry_context(pre: Expr, prefix: Stmt | None) -> Expr:
     """Describe the state after running `prefix` from states satisfying `pre`.
 
-    mode="equalities" conjoins `pre` with one equation per straight-line
-    assignment whose value is expressible over unassigned variables
-    (assignments like x := x+1 contribute nothing — sound, just weaker).
-    mode="wlp" callers should instead discharge establishment as
-    ``pre ⇒ wlp(prefix, I)``; here it returns just `pre` unchanged.
+    Conjoins `pre` with one equation per straight-line assignment whose
+    value is expressible over unassigned variables (assignments like
+    x := x+1 contribute nothing — sound, just weaker).
     """
-    if mode not in ("equalities", "wlp"):
-        raise ValueError("mode must be 'equalities' or 'wlp'")
-    if prefix is None or mode == "wlp":
+    if prefix is None:
         return pre
 
     assigned = assigned_vars(prefix)

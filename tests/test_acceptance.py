@@ -211,7 +211,7 @@ def test_criterion_04_swapped_accumulator_diagnosed(capsys, programs):
             d.post,
             SolverConfig(max_candidates=5_000),
         )
-    assert err.value.kind == "NoCandidate"
+    assert err.value.requirement == 1
 
     code = main(["discover", str(programs / "exp_swapped.imp")])
     out = capsys.readouterr().out

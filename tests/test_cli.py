@@ -199,6 +199,19 @@ def test_parse_error_is_bad_input(capsys, tmp_path):
     assert "parse error:" in err
 
 
+def test_too_deep_nesting_is_bad_input(capsys, tmp_path):
+    # 3,000 parentheses used to exhaust the interpreter stack and exit 1,
+    # the code of a real counterexample.
+    target = tmp_path / "deep.imp"
+    target.write_text("{n >= 0} x := " + "(" * 3000 + "0" + ")" * 3000 + " {x = 0}")
+    code, _, err = run(capsys, "trace", str(target))
+    assert code == 3
+    assert "nesting deeper than 64 levels" in err
+    deepest = "{n >= 0} x := " + "(" * 64 + "0" + ")" * 64 + " {x = 0}"
+    target.write_text(deepest)
+    assert run(capsys, "trace", str(target))[0] == 0
+
+
 def test_seed_variable_is_rejected(capsys, monkeypatch, programs):
     monkeypatch.setenv("LOOPINV_SEED", "42")
     code, _, err = run(capsys, "discover", str(programs / "exp_simple.imp"))

@@ -179,13 +179,6 @@ def test_pretty_spaces_boolean_not_arithmetic():
     assert pretty(p("x + 1 = n /\\ y * k = k ^ n")) == "x+1=n ∧ y*k=k^n"
 
 
-def test_pretty_folds_succ_chains():
-    from loopinv.terms import Ctor
-
-    three = Ctor("Succ", (Ctor("Succ", (Ctor("Succ", (Ctor("Zero", ()),)),)),))
-    assert pretty(three) == "3"
-
-
 def test_pretty_conditional_expression():
     from loopinv.terms import Case
 

@@ -231,7 +231,6 @@ END
             SolverConfig(max_candidates=5_000),
         )
     assert err.value.requirement == 1
-    assert err.value.kind == "NoCandidate"
 
 
 def test_initial_exists_but_no_step_possible():
@@ -435,6 +434,17 @@ def test_check_requirements_rejects_wrong_initial():
     assert isinstance(verdict, Failed)
     assert verdict.requirement == 1
     assert verdict.store()["x"] == 0  # a genuine loop-entry store
+
+
+def test_check_requirements_refutes_post_violated_at_observed_exit():
+    # exp_simple's invalid twin: y ends as k^n, not k^(n+1).  With the
+    # finals g3 = 0, g4 = 1 the invariant implies the post on every store,
+    # but the step walks g4 to k, not 1, on exit; the runs' exit stores
+    # show the post failing.
+    annotated, d = discovered(EXP_SIMPLE.replace("{y = k ^ n}", "{y = k ^ (n + 1)}"))
+    report = solve(annotated, d.node, d.putative, d.genvars, d.post)
+    assert {g: pretty(x) for g, x in report.assignment.final.items()} == {"g3": "0", "g4": "1"}
+    assert report.verdict == Failed(3, (("k", 0), ("n", 0), ("x", 0), ("y", 1)))
 
 
 def test_check_requirements_rejects_insufficient_final():

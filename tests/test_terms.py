@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from loopinv.terms import (
     FALSE,
     TRUE,
-    App,
     Assign,
     Block,
-    BoundVar,
     Case,
     Ctor,
     If,
-    Lam,
     Num,
     Op,
     Seq,
@@ -24,7 +21,6 @@ from loopinv.terms import (
     Triple,
     Var,
     While,
-    alpha_eq,
     assigned_vars,
     conjoin,
     free_vars,
@@ -67,11 +63,11 @@ def test_op_arity_checked():
 
 
 def test_ctor_names_checked():
-    assert Ctor("Zero", ()) == Ctor("Zero", ())
+    assert Ctor("True") == TRUE
     with pytest.raises(ValueError):
-        Ctor("Cons", (Num(1),))
+        Ctor("Cons")
     with pytest.raises(ValueError):
-        Ctor("Succ", ())
+        Ctor("Succ")
 
 
 # --- substitution ----------------------------------------------------------
@@ -84,12 +80,6 @@ def test_substitute_simultaneous():
     assert out == plus(v("y"), v("x"))
 
 
-def test_substitute_ignores_bound_vars():
-    lam = Lam(plus(BoundVar(0), v("x")))
-    out = substitute(lam, {"x": Num(7)})
-    assert out == Lam(plus(BoundVar(0), Num(7)))
-
-
 def test_substitute_no_capture_needed_for_first_order_terms():
     e = eq(v("x"), Num(0))
     assert substitute(e, {}) == e
@@ -99,7 +89,6 @@ def test_substitute_no_capture_needed_for_first_order_terms():
 def test_free_vars():
     e = Op("∧", (eq(v("x"), Num(0)), eq(v("y"), v("x"))))
     assert free_vars(e) == {"x", "y"}
-    assert free_vars(Lam(BoundVar(0))) == set()
 
 
 def test_conjoin_right_nested():
@@ -210,11 +199,6 @@ def exprs(depth=3):
 @given(exprs())
 def test_substitute_identity(e):
     assert substitute(e, {n: Var(n) for n in free_vars(e)}) == e
-
-
-@given(exprs())
-def test_alpha_eq_reflexive(e):
-    assert alpha_eq(e, e)
 
 
 @given(exprs())
