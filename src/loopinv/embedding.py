@@ -9,9 +9,11 @@ over a finite alphabet some earlier term embeds in a later one.  Rules:
 * coupling:  f(s1..sn) ⊴ f(t1..tn) whenever each si ⊴ ti.
 
 Two terms are *coupled* when the final rule is a top-level coupling —
-same head functor with argwise embedding.  Numerals participate through
-their unary view (Num n is Succ applied n times to Zero), so 1 ⊴ 2 and
-the two are coupled.
+same head functor with argwise embedding.  Numerals are atomic heads
+ordered as their unary view (Num n is Succ applied n times to Zero)
+would order them: m ⊴ n exactly when m ≤ n, and the two are coupled
+when moreover both are successors or both are zero.  So 1 ⊴ 2 and the
+two are coupled, while 0 ⊴ 1 only by diving.
 
 Generalisation ⊓ recurses through equal functors and introduces one
 fresh variable per mismatched position (no sharing).  The most specific
@@ -60,23 +62,19 @@ class FreshSupply:
 
 
 def view(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
-    """Decompose into (head key, children) for embedding purposes.
-
-    Num unfolds one Succ layer at a time so numeric literals compare
-    structurally; Var has no view (the variable rule handles it).
-    """
+    """Decompose into (head key, children) for embedding and
+    generalisation.  A numeral is an atomic head (`embeds` and `coupled`
+    order numerals by value); Var has no view (the variable rule handles
+    it)."""
     match e:
-        case Num(0):
-            return ("ctor", "Zero"), ()
         case Num(n):
-            return ("ctor", "Succ"), (Num(n - 1),)
+            return ("num", n), ()
         case Ctor(name):
             return ("ctor", name), ()
         case Op(op, args):
             return ("op", op), args
-        case Case(scrut, branches):
-            shape = tuple((n, k) for n, k, _ in branches)
-            return ("case", shape), (scrut,) + tuple(b for _, _, b in branches)
+        case Case(cond, then, other):
+            return ("case",), (cond, then, other)
         case _:
             raise TypeError(f"no view for {e!r}")
 
@@ -99,6 +97,8 @@ def embeds(e1: Expr, e2: Expr) -> bool:
 def _embeds(a: Expr, b: Expr, go) -> bool:
     if isinstance(a, Var) and isinstance(b, Var):
         return True  # variable rule
+    if isinstance(b, Num):  # only a numeral no larger embeds in a numeral
+        return isinstance(a, Num) and a.value <= b.value
     if not isinstance(b, Var):
         _, b_args = view(b)
         if any(go(a, t) for t in b_args):  # diving
@@ -116,6 +116,9 @@ def coupled(e1: Expr, e2: Expr) -> bool:
     """e1 ⊴ e2 with a coupling at the top: same head functor, argwise ⊴."""
     if isinstance(e1, Var) or isinstance(e2, Var):
         return False
+    if isinstance(e1, Num) and isinstance(e2, Num):  # both successors, or both zero
+        m, n = e1.value, e2.value
+        return m <= n and (m > 0 or n == 0)
     k1, args1 = view(e1)
     k2, args2 = view(e2)
     return k1 == k2 and len(args1) == len(args2) and all(embeds(s, t) for s, t in zip(args1, args2))
@@ -132,23 +135,13 @@ class GenResult:
     theta_right: dict[str, Expr]
 
 
-def _gen_view(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
-    """Functor view for generalisation: numerals are atomic heads."""
-    if isinstance(e, Num):
-        return ("num", e.value), ()
-    return view(e)
-
-
 def _rebuild(e: Expr, args: tuple[Expr, ...]) -> Expr:
     """Put new children into e's shape (same head as e)."""
     match e:
         case Op(op, _):
             return Op(op, args)
-        case Case(_, branches):
-            new_branches = tuple(
-                (n, k, body) for (n, k, _), body in zip(branches, args[1:])
-            )
-            return Case(args[0], new_branches)
+        case Case():
+            return Case(*args)
         case _:
             return e  # leaves: Num, Ctor, Var
 
@@ -163,8 +156,8 @@ def generalise(e1: Expr, e2: Expr, fresh: FreshSupply) -> GenResult:
         if a == b:
             return a
         if not (isinstance(a, Var) or isinstance(b, Var)):
-            ka, a_args = _gen_view(a)
-            kb, b_args = _gen_view(b)
+            ka, a_args = view(a)
+            kb, b_args = view(b)
             if ka == kb and len(a_args) == len(b_args):
                 return _rebuild(a, tuple(go(s, t) for s, t in zip(a_args, b_args)))
         v = fresh.fresh()

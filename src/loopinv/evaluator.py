@@ -106,28 +106,16 @@ def eval_expr(e: Expr, store: Store) -> int | bool:
                     return x == y
                 case "≠":
                     return x != y
-        case Case(scrut, branches):
-            v = eval_expr(scrut, store)
-            if isinstance(v, bool):
-                want = "True" if v else "False"
-                for name, arity, body in branches:
-                    if name == want and arity == 0:
-                        return eval_expr(body, store)
-            raise ValueError(f"unsupported case scrutinee {v!r}")
+        case Case(cond, then, other):
+            return eval_expr(then if eval_expr(cond, store) else other, store)
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def holds(e: Expr, store: Store, errors: list[EvalError] | None = None) -> bool:
-    """Truth of a boolean expression; evaluation errors count as false.
-
-    When `errors` is given, absorbed errors are appended to it so callers
-    can distinguish genuine falsity from failure to evaluate.
-    """
+def holds(e: Expr, store: Store) -> bool:
+    """Truth of a boolean expression; evaluation errors count as false."""
     try:
         v = eval_expr(e, store)
-    except EvalError as err:
-        if errors is not None:
-            errors.append(err)
+    except EvalError:
         return False
     if not isinstance(v, bool):
         raise ValueError(f"holds() needs a boolean expression, got value {v!r}")

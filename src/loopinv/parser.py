@@ -446,15 +446,12 @@ def _pretty_expr(e: Expr, parent: int, side: str) -> str:
             if prec < parent or (prec == parent and side != assoc):
                 return f"({body})"
             return body
-        case Case(scrut, (("True", 0, t), ("False", 0, f))) | Case(scrut, (("False", 0, f), ("True", 0, t))):
+        case Case(cond, then, other):
             body = (
-                f"if {_pretty_expr(scrut, 0, '')} then "
-                f"{_pretty_expr(t, 0, '')} else {_pretty_expr(f, 0, '')}"
+                f"if {_pretty_expr(cond, 0, '')} then "
+                f"{_pretty_expr(then, 0, '')} else {_pretty_expr(other, 0, '')}"
             )
             return f"({body})" if parent > 0 else body
-        case Case(scrut, branches):
-            arms = " | ".join(f"{n}/{k} -> {_pretty_expr(b, 0, '')}" for n, k, b in branches)
-            return f"(case {_pretty_expr(scrut, 0, '')} of {arms})"
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 

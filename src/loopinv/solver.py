@@ -62,12 +62,14 @@ conditional expressions choosing between two templates by the branch
 condition.  Their branch templates are prefiltered per template size,
 when the pair enumeration first reaches that size, and each viability
 test counts against ``max_candidates`` like a candidate.  The assembled
-assignment is re-verified from scratch by ``check_requirements``, and
-that verdict is what gets reported.  It walks requirements 1 and 2 on
-its own, shares requirement 3's store enumeration with the search, and
-also demands the postcondition on the exit stores of the observed runs,
-which the search does not: a final is not tied to the value the step
-walks its variable to.
+assignment is re-verified by ``check_requirements``, and that verdict
+is what gets reported.  Each requirement has one check, returning the
+first failing store or None, which the search calls per component and
+``check_requirements`` calls on all conjuncts and variables jointly, on
+the runs the search used.  Only the search demands that a step validate
+some transition; only ``check_requirements`` demands the postcondition
+on the exit stores of the observed runs, since a final is not tied to
+the value the step walks its variable to.
 """
 
 from __future__ import annotations
@@ -103,14 +105,12 @@ from .wlp import top_conjuncts
 @dataclass(frozen=True)
 class SolverConfig:
     domain_bound: int = 6
-    template_depth: int = 2
-    literal_pool: tuple[int, ...] = (0, 1, 2)
     operator_pool: tuple[str, ...] = ("+", "-", "*", "/", "%", "^")
     exec_fuel: int = 10_000
     max_candidates: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.domain_bound < 1 or self.template_depth < 1:
+        if self.domain_bound < 1:
             raise ValueError("bounds must be positive")
 
 
@@ -278,16 +278,17 @@ def collect_trajectories(
 # Template enumeration
 
 
+_LITERALS = (0, 1, 2)
+_SIZES = (1, 3, 5, 7)  # the template sizes of operator depth ≤ 2
+
+
 class _Templates:
-    """Expression templates over `atoms`, grouped by size (1, 3, 5, 7 for
-    depth ≤ 2), enumerated in order (size, operator, left, right)."""
+    """Expression templates over `atoms`, grouped by size (one of
+    `_SIZES`), enumerated in order (size, operator, left, right)."""
 
     def __init__(self, atoms: list[Expr], cfg: SolverConfig):
         self.cfg = cfg
         self._by_size: dict[int, list[Expr]] = {1: list(atoms)}
-
-    def sizes(self) -> list[int]:
-        return [1, 3, 5, 7][: 2 * self.cfg.template_depth]
 
     def of_size(self, n: int) -> list[Expr]:
         if n not in self._by_size:
@@ -312,22 +313,20 @@ def _tuples(pools: list[_Templates], max_size: int | None = None):
     """Joint candidates, one expression per pool, ordered by total size
     then left-to-right lexicographically."""
     k = len(pools)
-    sizes = pools[0].sizes() if pools else []
-    if max_size is not None:
-        sizes = [s for s in sizes if s <= max_size]
-    for total in range(k, (sizes[-1] if sizes else 1) * k + 1):
+    sizes = [s for s in _SIZES if max_size is None or s <= max_size]
+    for total in range(k, sizes[-1] * k + 1):
         for combo in itertools.product(sizes, repeat=k):
             if sum(combo) != total:
                 continue
             yield from itertools.product(*(p.of_size(s) for p, s in zip(pools, combo)))
 
 
-def _atom_exprs(cfg: SolverConfig, names: list[str]) -> list[Expr]:
-    return [Num(v) for v in cfg.literal_pool] + [Var(n) for n in names]
+def _atom_exprs(names: list[str]) -> list[Expr]:
+    return [Num(v) for v in _LITERALS] + [Var(n) for n in names]
 
 
 # ---------------------------------------------------------------------------
-# Requirement checks used during search
+# Requirement checks, shared by the search and check_requirements
 
 
 @dataclass
@@ -492,56 +491,73 @@ def _coarsen(invariant: Expr, g: str, genvars: tuple[str, ...]) -> Expr | None:
     return walk(invariant)
 
 
-def _holds_initially(
-    comp: _Component, init: dict[str, Expr], entries: list[Store], stats: SolveStats
-) -> bool:
+def _entry_counterexample(
+    conjuncts: list[Expr], initial: dict[str, Expr], entries: list[Store], stats: SolveStats
+) -> Store | None:
+    """Requirement 1: the first entry store where an initial fails to
+    evaluate, or where the conjuncts do not hold with each generalisation
+    variable at its initial value; None when every entry passes."""
     for entry in entries:
         try:
-            gvals = {g: eval_expr(e, entry) for g, e in init.items()}
+            gvals = {g: eval_expr(e, entry) for g, e in initial.items()}
         except EvalError:
             stats.eval_rejections += 1
-            return False
+            return entry
         env = {**entry, **gvals}
         stats.stores_tested += 1
-        if not all(holds(c, env) for c in comp.conjuncts):
-            return False
-    return True
+        if not all(holds(c, env) for c in conjuncts):
+            return entry
+    return None
 
 
-def _walks_trajectories(
-    comp: _Component,
-    init: dict[str, Expr],
+def _iterate(
+    conjuncts: list[Expr], step: dict[str, Expr], env_pre: Store, post: Store, stats: SolveStats
+) -> tuple[bool, dict[str, int] | None]:
+    """Requirement 2 on one observed iteration, from `env_pre` (the
+    pre-store with the generalisation variables' current values) to
+    `post`.  (False, _) when `step` refutes it: a step error that
+    `_excused` does not allow, or conjuncts failing at the post-store;
+    (True, None) when a step error truncates the run; otherwise (True,
+    the variables' next values)."""
+    try:
+        gvals = {g: eval_expr(e, env_pre) for g, e in step.items()}
+    except EvalError:
+        if not _excused(step, env_pre, post, conjuncts):
+            stats.eval_rejections += 1
+            return False, None
+        stats.step_truncations += 1
+        return True, None
+    env_post = {**post, **gvals}
+    stats.stores_tested += 1
+    return all(holds(c, env_post) for c in conjuncts), gvals
+
+
+def _step_counterexample(
+    conjuncts: list[Expr],
+    initial: dict[str, Expr],
     step: dict[str, Expr],
     runs: list[LoopRun],
     stats: SolveStats,
-) -> bool:
-    """Requirement 2 along collected runs.  Step evaluation errors
-    truncate the run where `_excused` allows it and reject
-    elsewhere; a hard mismatch rejects; the candidate must validate at
-    least one transition unless there are none at all."""
+) -> tuple[Store | None, int]:
+    """Requirement 2 along the runs, for initials that passed requirement
+    1 on their entries: the pre-store (with the generalisation variables'
+    values) of the first iteration that refutes `step`, or None; and the
+    number of iterations validated."""
     validated = 0
-    saw_transition = False
     for run in runs:
-        gvals = {g: eval_expr(e, run.entry) for g, e in init.items()}
+        gvals = {g: eval_expr(e, run.entry) for g, e in initial.items()}
         for pre, post in run.transitions:
-            saw_transition = True
             env_pre = {**pre, **gvals}
-            if not all(holds(c, env_pre) for c in comp.conjuncts):
+            if not all(holds(c, env_pre) for c in conjuncts):
                 break  # off the invariant; nothing to demand onward
-            try:
-                gvals = {g: eval_expr(e, env_pre) for g, e in step.items()}
-            except EvalError:
-                if not _excused(step, env_pre, post, comp.conjuncts):
-                    stats.eval_rejections += 1
-                    return False
-                stats.step_truncations += 1
+            ok, nxt = _iterate(conjuncts, step, env_pre, post, stats)
+            if not ok:
+                return env_pre, validated
+            if nxt is None:
                 break
-            env_post = {**post, **gvals}
-            stats.stores_tested += 1
-            if not all(holds(c, env_post) for c in comp.conjuncts):
-                return False
+            gvals = nxt
             validated += 1
-    return validated > 0 or not saw_transition
+    return None, validated
 
 
 def _post_counterexample(
@@ -588,10 +604,6 @@ def _top_branch(body: Stmt) -> Expr | None:
             return None
 
 
-def _conditional(cond: Expr, then: Expr, other: Expr) -> Expr:
-    return Case(cond, (("True", 0, then), ("False", 0, other)))
-
-
 class _Search:
     def __init__(
         self,
@@ -611,6 +623,7 @@ class _Search:
         self.stats = stats
         self.runs = runs
         self.entries = [r.entry for r in runs]
+        self.any_transition = any(r.transitions for r in runs)
         self.prog_vars = sorted(program_vars(triple))
         self.branch_cond = _top_branch(loop.body)
 
@@ -619,14 +632,23 @@ class _Search:
         if self.stats.candidates_tried > self.cfg.max_candidates:
             raise _Budget()
 
+    def _preserves(self, comp: _Component, init: dict[str, Expr], step: dict[str, Expr]) -> bool:
+        """Requirement 2, plus the search's own demand that the step
+        validate at least one iteration when there are any."""
+        refuting, validated = _step_counterexample(
+            comp.conjuncts, init, step, self.runs, self.stats
+        )
+        return refuting is None and (validated > 0 or not self.any_transition)
+
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
-        init_pool = _Templates(_atom_exprs(self.cfg, self.prog_vars), self.cfg)
+        init_pool = _Templates(_atom_exprs(self.prog_vars), self.cfg)
         some_initial_held = False
         try:
             for init_tuple in _tuples([init_pool] * len(comp.genvars)):
                 self._spend()
                 init = dict(zip(comp.genvars, init_tuple))
-                if not _holds_initially(comp, init, self.entries, self.stats):
+                refuting = _entry_counterexample(comp.conjuncts, init, self.entries, self.stats)
+                if refuting is not None:
                     continue
                 some_initial_held = True
                 step = self._find_step(comp, init)
@@ -659,13 +681,13 @@ class _Search:
         # conditional stage is reachable within the budget.
         cap = 5 if conditional else None
         pools = [
-            _Templates(_atom_exprs(self.cfg, self.prog_vars) + [Var(g)], self.cfg)
+            _Templates(_atom_exprs(self.prog_vars) + [Var(g)], self.cfg)
             for g in comp.genvars
         ]
         for tup in _tuples(pools, max_size=cap):
             self._spend()
             step = dict(zip(comp.genvars, tup))
-            if _walks_trajectories(comp, init, step, self.runs, self.stats):
+            if self._preserves(comp, init, step):
                 return step
         if conditional:
             found = self._find_conditional_step(comp, init, pools[0])
@@ -692,18 +714,11 @@ class _Search:
 
         def viable(expr: Expr, want: bool) -> bool:
             self._spend()
-            for env, post, taken in firsts:
-                if taken is not want:
-                    continue
-                try:
-                    nxt = eval_expr(expr, env)
-                except EvalError:
-                    if _excused({g: expr}, env, post, comp.conjuncts):
-                        continue  # truncation, not refutation
-                    return False
-                if not all(holds(c, {**post, g: nxt}) for c in comp.conjuncts):
-                    return False
-            return True
+            return all(
+                _iterate(comp.conjuncts, {g: expr}, env, post, self.stats)[0]
+                for env, post, taken in firsts
+                if taken is want
+            )
 
         viables: dict[tuple[int, bool], list[Expr]] = {}
 
@@ -712,21 +727,20 @@ class _Search:
                 viables[size, want] = [e for e in pool.of_size(size) if viable(e, want)]
             return viables[size, want]
 
-        sizes = pool.sizes()
-        for total in range(2, 2 * sizes[-1] + 1):
-            for s1 in sizes:
+        for total in range(2, 2 * _SIZES[-1] + 1):
+            for s1 in _SIZES:
                 s2 = total - s1
-                if s2 not in sizes or not branches(s1, True):
+                if s2 not in _SIZES or not branches(s1, True):
                     continue
                 for et, ee in itertools.product(branches(s1, True), branches(s2, False)):
                     self._spend()
-                    step = {g: _conditional(cond, et, ee)}
-                    if _walks_trajectories(comp, init, step, self.runs, self.stats):
+                    step = {g: Case(cond, et, ee)}
+                    if self._preserves(comp, init, step):
                         return step
         return None
 
     def solve_finals(self, post: Expr) -> dict[str, Expr]:
-        pool = _Templates(_atom_exprs(self.cfg, self.prog_vars), self.cfg)
+        pool = _Templates(_atom_exprs(self.prog_vars), self.cfg)
         ordered = tuple(self.genvars)
         try:
             for tup in _tuples([pool] * len(ordered)):
@@ -773,15 +787,14 @@ def solve(
 
     _, base = _split_components(top_conjuncts(putative), genvars)
     for c in base:
-        for entry in entries:
-            stats.stores_tested += 1
-            if not holds(c, entry):
-                raise SolverFailure(
-                    1,
-                    f"conjunct {pretty(c)} (no generalisation variables) fails on "
-                    f"entry store {entry}",
-                    stats,
-                )
+        entry = _entry_counterexample([c], {}, entries, stats)
+        if entry is not None:
+            raise SolverFailure(
+                1,
+                f"conjunct {pretty(c)} (no generalisation variables) fails on "
+                f"entry store {entry}",
+                stats,
+            )
 
     invariant, derived = putative, None
     while True:
@@ -828,7 +841,7 @@ def solve(
     step = {g: step[g] for g in genvars}
 
     assignment = Assignment(initial, step, final)
-    verdict = check_requirements(triple, loop, invariant, genvars, assignment, post, cfg)
+    verdict = check_requirements(triple, loop, invariant, genvars, assignment, post, cfg, runs=runs)
     return InvariantReport(invariant, genvars, assignment, verdict, stats)
 
 
@@ -841,46 +854,30 @@ def check_requirements(
     post: Expr,
     cfg: SolverConfig | None = None,
     stats: SolveStats | None = None,
+    runs: list[LoopRun] | None = None,
 ) -> Verdict:
     """Independent bounded check of the three invariant requirements for a
     concrete assignment; used both as the reported verdict behind solve()
-    and directly on hand-written assignments."""
+    and directly on hand-written assignments.  `runs` are the loop's
+    collected trajectories, collected here when not given."""
     cfg = cfg or SolverConfig()
     stats = stats if stats is not None else SolveStats()
-    runs = collect_trajectories(triple, loop, cfg, stats)
+    if runs is None:
+        runs = collect_trajectories(triple, loop, cfg, stats)
 
     def as_failure(req: int, store: Store) -> Failed:
         return Failed(req, tuple(sorted(store.items())))
 
-    # Requirement 1: initial instantiation holds whenever the loop is entered.
-    inv_initial = substitute(putative, dict(assignment.initial))
-    for run in runs:
-        stats.stores_tested += 1
-        if not holds(inv_initial, run.entry):
-            return as_failure(1, run.entry)
-
-    # Requirement 2: the step walks every observed iteration; a step error
-    # truncates a run only where _excused says so.
+    # Requirement 1: the initials make the invariant hold whenever the loop
+    # is entered.  Requirement 2: the step walks every observed iteration;
+    # a step error truncates a run only where _excused says so.
     conjuncts = top_conjuncts(putative)
-    for run in runs:
-        try:
-            gvals = {g: eval_expr(e, run.entry) for g, e in assignment.initial.items()}
-        except EvalError:
-            return as_failure(1, run.entry)
-        for pre, post_store in run.transitions:
-            env_pre = {**pre, **gvals}
-            if not holds(putative, env_pre):
-                break
-            try:
-                gvals = {g: eval_expr(e, env_pre) for g, e in assignment.step.items()}
-            except EvalError:
-                if not _excused(assignment.step, env_pre, post_store, conjuncts):
-                    return as_failure(2, env_pre)
-                stats.step_truncations += 1
-                break
-            stats.stores_tested += 1
-            if not holds(putative, {**post_store, **gvals}):
-                return as_failure(2, env_pre)
+    entry = _entry_counterexample(conjuncts, assignment.initial, [r.entry for r in runs], stats)
+    if entry is not None:
+        return as_failure(1, entry)
+    refuting, _ = _step_counterexample(conjuncts, assignment.initial, assignment.step, runs, stats)
+    if refuting is not None:
+        return as_failure(2, refuting)
 
     # Requirement 3: final instantiation plus exit condition implies the
     # post.  Nothing ties a final to the value the step walks its variable

@@ -6,8 +6,8 @@ applications, and the two-way conditional ``Case`` that the witness
 search builds for conditional steps.  Nothing binds a variable, so
 substituting for free names can never capture.
 
-Numerals are stored compactly as ``Num`` nodes; the embedding views them
-as unary successor chains on demand.
+Numerals are ``Num`` nodes; the embedding orders them by value, as it
+would order unary successor chains.
 """
 
 from __future__ import annotations
@@ -75,10 +75,11 @@ class Op(Expr):
 
 @dataclass(frozen=True)
 class Case(Expr):
-    scrutinee: Expr
-    # (constructor name, pattern arity, branch body); the arity is 0, since
-    # the scrutinee is boolean and no pattern binds a variable.
-    branches: tuple[tuple[str, int, Expr], ...]
+    """The conditional expression: `then` where `cond` holds, else `other`."""
+
+    cond: Expr
+    then: Expr
+    other: Expr
 
 
 TRUE = Ctor("True")
@@ -115,11 +116,8 @@ def substitute(e: Expr, theta: Subst) -> Expr:
             return e
         case Op(op, args):
             return Op(op, tuple(substitute(a, theta) for a in args))
-        case Case(scrut, branches):
-            return Case(
-                substitute(scrut, theta),
-                tuple((n, k, substitute(b, theta)) for n, k, b in branches),
-            )
+        case Case(cond, then, other):
+            return Case(substitute(cond, theta), substitute(then, theta), substitute(other, theta))
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 
@@ -135,11 +133,8 @@ def free_vars(e: Expr) -> frozenset[str]:
             for a in args:
                 out |= free_vars(a)
             return out
-        case Case(scrut, branches):
-            out = free_vars(scrut)
-            for _, _, b in branches:
-                out |= free_vars(b)
-            return out
+        case Case(cond, then, other):
+            return free_vars(cond) | free_vars(then) | free_vars(other)
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 
@@ -175,13 +170,8 @@ def renaming_of(e1: Expr, e2: Expr, renameable: frozenset[str] | set[str]) -> di
                 return n1 == n2
             case (Op(o1, a1), Op(o2, a2)):
                 return o1 == o2 and len(a1) == len(a2) and all(walk(x, y) for x, y in zip(a1, a2))
-            case (Case(s1, br1), Case(s2, br2)):
-                if len(br1) != len(br2) or not walk(s1, s2):
-                    return False
-                return all(
-                    n1 == n2 and k1 == k2 and walk(b1, b2)
-                    for (n1, k1, b1), (n2, k2, b2) in zip(br1, br2)
-                )
+            case (Case(c1, t1, o1), Case(c2, t2, o2)):
+                return walk(c1, c2) and walk(t1, t2) and walk(o1, o2)
             case _:
                 return False
 
@@ -217,13 +207,13 @@ def sort_of(e: Expr) -> str:
             if sort_of(a) != BOOL or sort_of(b) != BOOL:
                 raise SortError(f"{op} needs boolean operands")
             return BOOL
-        case Case(scrut, branches):
-            if sort_of(scrut) != BOOL:
-                raise SortError("case scrutinee must be boolean")
-            sorts = {sort_of(b) for _, _, b in branches}
-            if len(sorts) != 1:
+        case Case(cond, then, other):
+            if sort_of(cond) != BOOL:
+                raise SortError("case condition must be boolean")
+            sort = sort_of(then)
+            if sort_of(other) != sort:
                 raise SortError("case branches disagree on sort")
-            return sorts.pop()
+            return sort
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 

@@ -212,6 +212,17 @@ def test_too_deep_nesting_is_bad_input(capsys, tmp_path):
     assert run(capsys, "trace", str(target))[0] == 0
 
 
+def test_large_numeral_traces(capsys, monkeypatch):
+    # The embedding used to unfold a numeral one successor per unit, so a
+    # literal in the thousands exhausted the interpreter stack and exited
+    # 1, the code of a real counterexample.
+    program = "{n >= 0} x := 0; WHILE x < n DO x := x + 1 {x + 3000 = n + 3000}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(program))
+    code, out, _ = run(capsys, "trace", "-")
+    assert code == 0
+    assert "[RenamingFound] x+g3=n ∧ x+(1+g4)=n+3000" in out
+
+
 def test_seed_variable_is_rejected(capsys, monkeypatch, programs):
     monkeypatch.setenv("LOOPINV_SEED", "42")
     code, _, err = run(capsys, "discover", str(programs / "exp_simple.imp"))

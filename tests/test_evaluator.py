@@ -68,9 +68,9 @@ def test_short_circuit_left_to_right():
 
 
 def test_holds_absorbs_errors():
-    errors = []
-    assert holds(e("x / y = 1"), {"x": 1, "y": 0}, errors) is False
-    assert len(errors) == 1
+    with pytest.raises(EvalError):
+        eval_expr(e("x / y = 1"), {"x": 1, "y": 0})
+    assert holds(e("x / y = 1"), {"x": 1, "y": 0}) is False
 
 
 # --- frozen execution oracles ----------------------------------------------

@@ -182,7 +182,7 @@ def test_pretty_spaces_boolean_not_arithmetic():
 def test_pretty_conditional_expression():
     from loopinv.terms import Case
 
-    c = Case(p("x % 2 = 1"), (("True", 0, Var("a")), ("False", 0, Var("b"))))
+    c = Case(p("x % 2 = 1"), Var("a"), Var("b"))
     assert pretty(c) == "if x%2=1 then a else b"
 
 

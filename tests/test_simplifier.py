@@ -153,8 +153,7 @@ def rewrite_preserves_meaning(ev: RewriteEvent, bound: int) -> tuple[bool, int]:
     skipped = 0
     for values in itertools.product(range(bound + 1), repeat=len(names)):
         store = dict(zip(names, values))
-        errs: list = []
-        if not all(holds(f, store, errs) for f in ev.facts):
+        if not all(holds(f, store) for f in ev.facts):
             continue
         try:
             lhs = eval_expr(ev.before, store)

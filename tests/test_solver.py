@@ -332,7 +332,7 @@ def test_check_requirements_rejects_step_erroring_where_determined(programs):
 
 def test_check_requirements_accepts_honest_conditional_step(programs):
     annotated, d, g_pos, g_pow, coarse = _binary_pos(programs)
-    odd = Case(e("x % 2 = 1"), (("True", 0, e(f"{g_pow} / z")), ("False", 0, Var(g_pow))))
+    odd = Case(e("x % 2 = 1"), e(f"{g_pow} / z"), Var(g_pow))
     honest = Assignment(
         initial={g_pos: Var("n"), g_pow: e("k ^ n")},
         step={g_pos: e(f"{g_pos} / 2"), g_pow: odd},
@@ -354,6 +354,7 @@ def test_derived_invariant_without_witness_is_coarsened(programs):
     assert report.invariant == coarse
     assert pretty(report.assignment.step[g_pow]) == f"if x%2=1 then {g_pow}/z else {g_pow}"
     assert isinstance(report.verdict, VerifiedUpToBound)
+    assert report.stats.candidates_tried == 6350
 
 
 def test_swapped_accumulator_fails_before_any_candidate(programs):
@@ -387,14 +388,13 @@ END
     report = solve(t, loop, putative, ("g",), t.post, cfg)
     step = report.assignment.step["g"]
     assert isinstance(step, Case)
-    assert step.scrutinee == e("x % 2 = 1")
+    assert step.cond == e("x % 2 = 1")
     assert report.verdict == VerifiedUpToBound(bound=6)
+    assert report.stats.candidates_tried == 6683
     # The chosen branches track the doubling and the idle path.
-    then_branch = step.branches[0][2]
-    else_branch = step.branches[1][2]
     store = {"x": 3, "y": 5, "n": 3, "g": 5}
-    assert eval_expr(then_branch, store) == 10
-    assert eval_expr(else_branch, store) == 5
+    assert eval_expr(step.then, store) == 10
+    assert eval_expr(step.other, store) == 5
 
 
 # --- independent requirement checking ----------------------------------------------

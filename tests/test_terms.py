@@ -148,10 +148,10 @@ def test_sort_errors():
 
 
 def test_case_sort_checks_scrutinee_and_branches():
-    good = Case(eq(v("x"), Num(0)), (("True", 0, Num(1)), ("False", 0, Num(2))))
+    good = Case(eq(v("x"), Num(0)), Num(1), Num(2))
     assert sort_of(good) == "nat"
     with pytest.raises(SortError):
-        sort_of(Case(Num(3), (("True", 0, Num(1)), ("False", 0, Num(2)))))
+        sort_of(Case(Num(3), Num(1), Num(2)))
 
 
 # --- statements ------------------------------------------------------------
