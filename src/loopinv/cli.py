@@ -17,7 +17,8 @@ Three modes over a program file (or ``-`` for stdin):
 
 Exit codes: 0 all checks passed; 1 a bounded check found a
 counterexample; 2 discovery or witness search failed (or the input was
-rejected before checking); 3 the program did not parse or sort-check.
+rejected before checking); 3 the program did not parse or sort-check, a
+bound was below 1, or the input nests too deeply to analyse.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, value in (("--bound", args.bound), ("--refutation-bound", args.refutation_bound)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     if os.environ.get("LOOPINV_SEED") is not None:
         print(
             "error: LOOPINV_SEED is set, but discovery and witness search are "
@@ -112,14 +117,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     try:
         triple = parse_program(text)
+        if args.mode == "discover":
+            return _discover(triple, args)
+        if args.mode == "verify":
+            return _verify(triple, args)
+        return _trace(triple, args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.mode == "discover":
-        return _discover(triple, args)
-    if args.mode == "verify":
-        return _verify(triple, args)
-    return _trace(triple, args)
+    except RecursionError:  # a statement sequence or operator chain too long to walk
+        print("error: the input nests too deeply to analyse", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:

@@ -15,8 +15,14 @@ variable v needs three witnesses:
 Witnesses are searched for among small expression templates, smallest
 first, against trajectories collected by actually running the program
 on every input store within the domain bound whose values satisfy the
-precondition.  Everything is a bounded check over the naturals, so a
-positive verdict is "verified up to the bound", never a proof.
+precondition.  A template is an atom (the literal 0, 1 or 2, a program
+variable, and for a step the variable's previous value) or an operator
+over two templates of operator depth ≤ 1, so its size is 1, 3, 5 or 7;
+``_pool`` and ``_tuples`` give the order.  Templates are generated as
+the enumeration reaches them: only sizes 1 and 3 are held as lists,
+since six operators over nine atoms give about 1.4 million of size 7.
+Everything is a bounded check over the naturals, so a positive verdict
+is "verified up to the bound", never a proof.
 
 Errors during testing are treated asymmetrically, matching their
 meaning.  A candidate initial (or final) whose evaluation fails on a
@@ -74,7 +80,9 @@ the value the step walks its variable to.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .evaluator import EvalError, Finished, Store, eval_expr, exec_stmt, holds, stores
@@ -280,49 +288,48 @@ def collect_trajectories(
 
 _LITERALS = (0, 1, 2)
 _SIZES = (1, 3, 5, 7)  # the template sizes of operator depth ≤ 2
+Pool = Callable[[int], Iterable[Expr]]  # the templates of one size, in order
 
 
-class _Templates:
-    """Expression templates over `atoms`, grouped by size (one of
-    `_SIZES`), enumerated in order (size, operator, left, right)."""
+def _pool(atoms: list[Expr], ops: tuple[str, ...]) -> Pool:
+    """Templates over `atoms` by size.  One of size n > 1 is `Op(op, (l, r))`
+    with l and r of size 1 or 3 summing to n-1, ordered by operator, then
+    left size, then left, then right.  Sizes 1 and 3 are kept as lists; a
+    larger size is generated lazily, afresh each time it is asked for."""
+    lists = {1: list(atoms)}
 
-    def __init__(self, atoms: list[Expr], cfg: SolverConfig):
-        self.cfg = cfg
-        self._by_size: dict[int, list[Expr]] = {1: list(atoms)}
+    def compose(n: int) -> Iterator[Expr]:
+        for op in ops:
+            for ls in (1, 3):
+                if ls in lists and n - 1 - ls in lists:
+                    for l in lists[ls]:
+                        for r in lists[n - 1 - ls]:
+                            yield Op(op, (l, r))
 
-    def of_size(self, n: int) -> list[Expr]:
-        if n not in self._by_size:
-            ops = self.cfg.operator_pool
-            out: list[Expr] = []
-            if n == 3:
-                a = self._by_size[1]
-                out = [Op(op, (l, r)) for op in ops for l in a for r in a]
-            elif n == 5:
-                a, b = self.of_size(1), self.of_size(3)
-                for op in ops:
-                    out.extend(Op(op, (l, r)) for l in a for r in b)
-                    out.extend(Op(op, (l, r)) for l in b for r in a)
-            elif n == 7:
-                b = self.of_size(3)
-                out = [Op(op, (l, r)) for op in self.cfg.operator_pool for l in b for r in b]
-            self._by_size[n] = out
-        return self._by_size[n]
+    lists[3] = list(compose(3))
+    return lambda n: lists[n] if n in lists else compose(n)
 
 
-def _tuples(pools: list[_Templates], max_size: int | None = None):
-    """Joint candidates, one expression per pool, ordered by total size
-    then left-to-right lexicographically."""
+def _tuples(pools: list[Pool], max_size: int | None = None) -> Iterator[tuple[Expr, ...]]:
+    """Joint candidates, one template per pool, ordered by total size, then
+    by the sizes left to right, then lexicographically.  A pool is asked
+    for a size only when the enumeration reaches it: a later pool only
+    once each earlier pool has yielded a template of its size."""
     k = len(pools)
     sizes = [s for s in _SIZES if max_size is None or s <= max_size]
+
+    def product(i: int, combo: tuple[int, ...]) -> Iterator[tuple[Expr, ...]]:
+        if i == k:
+            yield ()
+            return
+        for head in pools[i](combo[i]):
+            for rest in product(i + 1, combo):
+                yield (head, *rest)
+
     for total in range(k, sizes[-1] * k + 1):
         for combo in itertools.product(sizes, repeat=k):
-            if sum(combo) != total:
-                continue
-            yield from itertools.product(*(p.of_size(s) for p, s in zip(pools, combo)))
-
-
-def _atom_exprs(names: list[str]) -> list[Expr]:
-    return [Num(v) for v in _LITERALS] + [Var(n) for n in names]
+            if sum(combo) == total:
+                yield from product(0, combo)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +622,6 @@ class _Search:
         stats: SolveStats,
         runs: list[LoopRun],
     ):
-        self.triple = triple
         self.loop = loop
         self.putative = putative
         self.genvars = genvars
@@ -624,13 +630,24 @@ class _Search:
         self.runs = runs
         self.entries = [r.entry for r in runs]
         self.any_transition = any(r.transitions for r in runs)
-        self.prog_vars = sorted(program_vars(triple))
+        self.atoms = [Num(v) for v in _LITERALS] + [Var(n) for n in sorted(program_vars(triple))]
         self.branch_cond = _top_branch(loop.body)
 
     def _spend(self) -> None:
         self.stats.candidates_tried += 1
         if self.stats.candidates_tried > self.cfg.max_candidates:
             raise _Budget()
+
+    def _first(
+        self, candidates: Iterable[dict[str, Expr]], passes: Callable[[dict[str, Expr]], bool]
+    ) -> dict[str, Expr] | None:
+        """The first of `candidates` that `passes`, spending one unit of
+        budget per candidate tried; None when none passes."""
+        for candidate in candidates:
+            self._spend()
+            if passes(candidate):
+                return candidate
+        return None
 
     def _preserves(self, comp: _Component, init: dict[str, Expr], step: dict[str, Expr]) -> bool:
         """Requirement 2, plus the search's own demand that the step
@@ -641,7 +658,7 @@ class _Search:
         return refuting is None and (validated > 0 or not self.any_transition)
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
-        init_pool = _Templates(_atom_exprs(self.prog_vars), self.cfg)
+        init_pool = _pool(self.atoms, self.cfg.operator_pool)
         some_initial_held = False
         try:
             for init_tuple in _tuples([init_pool] * len(comp.genvars)):
@@ -654,49 +671,34 @@ class _Search:
                 step = self._find_step(comp, init)
                 if step is not None:
                     return init, step
-        except _Budget:
-            raise SolverFailure(
-                2 if some_initial_held else 1,
-                f"template budget ({self.cfg.max_candidates}) exhausted while "
-                f"searching component {comp.genvars}",
-                self.stats,
-            ) from None
-        if some_initial_held:
-            raise SolverFailure(
-                2,
+            detail = (
                 f"initial values exist for {comp.genvars} but no step expression "
-                "preserves the invariant along the observed iterations",
-                self.stats,
+                "preserves the invariant along the observed iterations"
+                if some_initial_held
+                else f"no initial values for {comp.genvars} satisfy the invariant on the "
+                f"{len(self.entries)} collected entry stores"
             )
-        raise SolverFailure(
-            1,
-            f"no initial values for {comp.genvars} satisfy the invariant on the "
-            f"{len(self.entries)} collected entry stores",
-            self.stats,
-        )
+        except _Budget:
+            detail = (
+                f"template budget ({self.cfg.max_candidates}) exhausted while "
+                f"searching component {comp.genvars}"
+            )
+        raise SolverFailure(2 if some_initial_held else 1, detail, self.stats)
 
     def _find_step(self, comp: _Component, init: dict[str, Expr]) -> dict[str, Expr] | None:
         conditional = self.branch_cond is not None and len(comp.genvars) == 1
         # With a branching body, cap unconditional templates so the
         # conditional stage is reachable within the budget.
         cap = 5 if conditional else None
-        pools = [
-            _Templates(_atom_exprs(self.prog_vars) + [Var(g)], self.cfg)
-            for g in comp.genvars
-        ]
-        for tup in _tuples(pools, max_size=cap):
-            self._spend()
-            step = dict(zip(comp.genvars, tup))
-            if self._preserves(comp, init, step):
-                return step
-        if conditional:
+        pools = [_pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
+        steps = (dict(zip(comp.genvars, tup)) for tup in _tuples(pools, cap))
+        found = self._first(steps, lambda step: self._preserves(comp, init, step))
+        if found is None and conditional:
             found = self._find_conditional_step(comp, init, pools[0])
-            if found is not None:
-                return found
-        return None
+        return found
 
     def _find_conditional_step(
-        self, comp: _Component, init: dict[str, Expr], pool: _Templates
+        self, comp: _Component, init: dict[str, Expr], pool: Pool
     ) -> dict[str, Expr] | None:
         g = comp.genvars[0]
         cond = self.branch_cond
@@ -720,48 +722,33 @@ class _Search:
                 if taken is want
             )
 
-        viables: dict[tuple[int, bool], list[Expr]] = {}
-
+        @functools.cache
         def branches(size: int, want: bool) -> list[Expr]:
-            if (size, want) not in viables:
-                viables[size, want] = [e for e in pool.of_size(size) if viable(e, want)]
-            return viables[size, want]
+            return [e for e in pool(size) if viable(e, want)]
 
-        for total in range(2, 2 * _SIZES[-1] + 1):
-            for s1 in _SIZES:
-                s2 = total - s1
-                if s2 not in _SIZES or not branches(s1, True):
-                    continue
-                for et, ee in itertools.product(branches(s1, True), branches(s2, False)):
-                    self._spend()
-                    step = {g: Case(cond, et, ee)}
-                    if self._preserves(comp, init, step):
-                        return step
-        return None
+        pairs = _tuples([lambda s: branches(s, True), lambda s: branches(s, False)])
+        steps = ({g: Case(cond, then, other)} for then, other in pairs)
+        return self._first(steps, lambda step: self._preserves(comp, init, step))
 
     def solve_finals(self, post: Expr) -> dict[str, Expr]:
-        pool = _Templates(_atom_exprs(self.prog_vars), self.cfg)
-        ordered = tuple(self.genvars)
+        pool = _pool(self.atoms, self.cfg.operator_pool)
+        finals = (dict(zip(self.genvars, tup)) for tup in _tuples([pool] * len(self.genvars)))
+
+        def implies_post(final: dict[str, Expr]) -> bool:
+            args = (self.putative, self.genvars, final, self.loop, post, self.cfg, self.stats)
+            return _post_counterexample(*args) is None
+
         try:
-            for tup in _tuples([pool] * len(ordered)):
-                self._spend()
-                final = dict(zip(ordered, tup))
-                refuting = _post_counterexample(
-                    self.putative, self.genvars, final, self.loop, post, self.cfg, self.stats
-                )
-                if refuting is None:
-                    return final
+            final = self._first(finals, implies_post)
+            if final is not None:
+                return final
+            detail = (
+                "no final values make the invariant plus the exit condition imply the "
+                "postcondition"
+            )
         except _Budget:
-            raise SolverFailure(
-                3,
-                f"template budget ({self.cfg.max_candidates}) exhausted while searching finals",
-                self.stats,
-            ) from None
-        raise SolverFailure(
-            3,
-            "no final values make the invariant plus the exit condition imply the postcondition",
-            self.stats,
-        )
+            detail = f"template budget ({self.cfg.max_candidates}) exhausted while searching finals"
+        raise SolverFailure(3, detail, self.stats)
 
 
 def solve(

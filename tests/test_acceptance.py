@@ -183,6 +183,7 @@ def test_criterion_03_nested_loops_both_solved(programs):
     assert a.step == {g_count: e(f"{g_count} - 1"), g_sum: e(f"{g_sum} - y")}
     assert a.final == {g_count: Num(0), g_sum: Num(0)}
     assert inner_report.verdict == VerifiedUpToBound(bound=6)
+    assert inner_report.stats.candidates_tried == 621
 
     outer_report = solve(annotated, outer.node, outer.putative, outer.genvars, outer.post)
     g_count, g_power = outer.genvars
@@ -191,6 +192,7 @@ def test_criterion_03_nested_loops_both_solved(programs):
     assert a.step == {g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")}
     assert a.final == {g_count: Num(0), g_power: Num(1)}
     assert outer_report.verdict == VerifiedUpToBound(bound=6)
+    assert outer_report.stats.candidates_tried == 1059
 
 
 # --- criterion 4: a variable generalised out of existence ----------------------------

@@ -212,6 +212,36 @@ def test_too_deep_nesting_is_bad_input(capsys, tmp_path):
     assert run(capsys, "trace", str(target))[0] == 0
 
 
+def test_long_sequence_and_operator_chain_are_bad_input(capsys, tmp_path):
+    # Both used to exhaust the interpreter stack and exit 1 in every mode.
+    sequence = "{0 = 0} " + "; ".join(["x := 1"] * 1000) + " {x = 1}"
+    chain = "{0 = 0} x := " + "+".join(["1"] * 1000) + " {x = 1000}"
+    target = tmp_path / "long.imp"
+    for text in (sequence, chain):
+        target.write_text(text)
+        for mode in ("discover", "verify", "trace"):
+            code, _, err = run(capsys, mode, str(target))
+            assert (code, err) == (3, "error: the input nests too deeply to analyse\n")
+
+
+def test_bounds_below_one_are_bad_input(capsys, tmp_path, programs):
+    # A negative --bound checked no store and passed a wrong invariant; a
+    # zero bound ended in a ValueError traceback and exit 1.
+    annotated = (programs / "exp_simple_annotated.imp").read_text(encoding="utf-8")
+    wrong = tmp_path / "wrong.imp"
+    wrong.write_text(annotated.replace("y = k ^ x}", "y = k ^ (x+1)}"))
+    assert run(capsys, "verify", str(wrong))[0] == 1
+    simple = str(programs / "exp_simple.imp")
+    for argv, flag in (
+        (["verify", str(wrong), "--bound", "-1"], "--bound"),
+        (["discover", simple, "--bound", "0"], "--bound"),
+        (["trace", simple, "--refutation-bound", "0"], "--refutation-bound"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {flag} must be at least 1")
+
+
 def test_large_numeral_traces(capsys, monkeypatch):
     # The embedding used to unfold a numeral one successor per unit, so a
     # literal in the thousands exhausted the interpreter stack and exited

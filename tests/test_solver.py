@@ -14,8 +14,8 @@ from loopinv.solver import (
     VerifiedUpToBound,
     _ANY,
     _NONE,
-    _Templates,
     _coarsen,
+    _pool,
     _solve_for,
     _tuples,
     check_requirements,
@@ -132,21 +132,48 @@ def test_nonterminating_inputs_are_skipped_and_counted():
 
 
 def test_templates_ordered_by_size_then_structure():
-    cfg = SolverConfig(operator_pool=("+", "-"))
-    pool = _Templates([Num(0), Var("a")], cfg)
-    assert pool.of_size(1) == [Num(0), Var("a")]
-    assert pool.of_size(3)[:4] == [
+    ops = ("+", "-")
+    atoms = [Num(0), Var("a")]
+    pool = _pool(atoms, ops)
+    assert list(pool(1)) == atoms
+    size3 = list(pool(3))
+    assert size3[:4] == [
         Op("+", (Num(0), Num(0))),
         Op("+", (Num(0), Var("a"))),
         Op("+", (Var("a"), Num(0))),
         Op("+", (Var("a"), Var("a"))),
     ]
-    assert pool.of_size(3)[4].op == "-"
+    assert size3[4].op == "-"
+    # Larger templates: an operator over two operands of depth ≤ 1,
+    # left size ascending, then left, then right.
+    size5 = list(pool(5))
+    assert len(size5) == len(ops) * 2 * len(atoms) * len(size3)
+    assert size5[0] == Op("+", (Num(0), size3[0]))
+    assert size5[len(atoms) * len(size3)] == Op("+", (size3[0], Num(0)))
+    size7 = list(pool(7))
+    assert len(size7) == len(ops) * len(size3) ** 2
+    assert size7[0] == Op("+", (size3[0], size3[0]))
+    assert size7[len(size3) ** 2] == Op("-", (size3[0], size3[0]))
+
+
+def test_tuples_draw_templates_lazily():
+    pool = _pool([Num(0), Var("a")], ("+", "-"))
+    drawn = []
+
+    def counting(n):
+        for t in pool(n):
+            if n == 7:
+                drawn.append(t)
+            yield t
+
+    first7 = next(tup for tup in _tuples([counting]) if drawn)
+    zero = Op("+", (Num(0), Num(0)))
+    assert drawn == [Op("+", (zero, zero))]
+    assert first7 == tuple(drawn)
 
 
 def test_tuple_candidates_ordered_by_total_size():
-    cfg = SolverConfig(operator_pool=("+",))
-    pool = _Templates([Num(0), Num(1)], cfg)
+    pool = _pool([Num(0), Num(1)], ("+",))
     pairs = list(_tuples([pool, pool], max_size=3))
     sizes = [
         (1 if isinstance(a, Num) else 3, 1 if isinstance(b, Num) else 3) for a, b in pairs
@@ -170,6 +197,7 @@ def test_simple_exponentiation_full_assignment():
     assert a.final[g_count] == Num(0)
     assert a.final[g_power] == Num(1)
     assert report.verdict == VerifiedUpToBound(bound=6)
+    assert report.stats.candidates_tried == 675  # unconditional steps, joint finals
     # Division by k truncates the k=0 runs rather than rejecting.
     assert report.stats.step_truncations > 0
 
