@@ -30,6 +30,8 @@ CASES = [
     ("exp_swapped", ["trace", "--format", "json"], 0),
     ("exp_simple", ["discover", "--format", "json"], 0),
     ("exp_nested", ["discover", "--format", "json"], 0),
+    ("exp_binary", ["discover", "--format", "json"], 0),
+    ("exp_binary_pos", ["discover", "--format", "json"], 0),
     ("exp_swapped", ["discover", "--format", "json"], 2),
     ("exp_simple_annotated", ["verify"], 0),
 ]
