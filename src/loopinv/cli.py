@@ -18,7 +18,8 @@ Three modes over a program file (or ``-`` for stdin):
 Exit codes: 0 all checks passed; 1 a bounded check found a
 counterexample; 2 discovery or witness search failed (or the input was
 rejected before checking); 3 the program did not parse or sort-check, a
-bound was below 1, or the input nests too deeply to analyse.
+bound or the iteration budget was below 1, or the input nests too
+deeply to analyse.
 """
 
 from __future__ import annotations
@@ -95,7 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for flag, value in (("--bound", args.bound), ("--refutation-bound", args.refutation_bound)):
+    for flag, value in (
+        ("--bound", args.bound),
+        ("--max-iter", args.max_iter),
+        ("--refutation-bound", args.refutation_bound),
+    ):
         if value < 1:
             print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
             return EXIT_BAD_INPUT

@@ -2,8 +2,12 @@
 
 Arithmetic conventions: subtraction is monus (truncating at zero),
 division and modulus are euclidean and raise a division error when the
-divisor is zero (0/0 included), and 0^0 = 1.  Boolean connectives are
-short-circuit, so `false ∧ 1/0 = 0` evaluates to false.
+divisor is zero (0/0 included), and 0^0 = 1.  A product or power wider
+than ``MAX_BITS`` bits raises an overflow error, which every caller
+treats like a division error; without the cap a witness candidate such
+as ``g^g`` walked along a run builds integers of millions of digits
+before it is refuted.  Boolean connectives are short-circuit, so
+`false ∧ 1/0 = 0` evaluates to false.
 
 Statement execution is pure: the input store is never mutated.  Fuel
 counts loop-body iterations only (straight-line code is free); an
@@ -22,12 +26,14 @@ from .terms import Assign, Block, Case, Ctor, Expr, If, Num, Op, Seq, Skip, Stmt
 
 Store = dict[str, int]
 
+MAX_BITS = 4096  # the widest result of `*` or `^`; a wider one is an Overflow
+
 # hook(event, loop_node, store_snapshot); event ∈ {"enter", "iter", "exit"}
 ExecHook = Callable[[str, While, Store], None]
 
 
 class EvalError(Exception):
-    """Expression evaluation failed; kind ∈ {DivByZero, UnboundVar}."""
+    """Expression evaluation failed; kind ∈ {DivByZero, Overflow, UnboundVar}."""
 
     def __init__(self, kind: str, detail: str):
         super().__init__(f"{kind}: {detail}")
@@ -83,17 +89,24 @@ def eval_expr(e: Expr, store: Store) -> int | bool:
                 case "-":
                     return max(x - y, 0)  # monus
                 case "*":
-                    return x * y
+                    v = x * y
+                    if v.bit_length() > MAX_BITS:
+                        raise EvalError("Overflow", f"* result wider than {MAX_BITS} bits")
+                    return v
                 case "/":
                     if y == 0:
-                        raise EvalError("DivByZero", f"{x}/0")
+                        raise EvalError("DivByZero", "/ by zero")
                     return x // y
                 case "%":
                     if y == 0:
-                        raise EvalError("DivByZero", f"{x}%0")
+                        raise EvalError("DivByZero", "% by zero")
                     return x % y
                 case "^":
-                    return x**y  # 0^0 = 1
+                    # x ≥ 2^(bitlen(x)-1): reject what must be too wide before computing.
+                    too_wide = (x.bit_length() - 1) * y > MAX_BITS
+                    if too_wide or (v := x**y).bit_length() > MAX_BITS:  # 0^0 = 1
+                        raise EvalError("Overflow", f"^ result wider than {MAX_BITS} bits")
+                    return v
                 case "<":
                     return x < y
                 case ">":

@@ -76,6 +76,21 @@ the runs the search used.  Only the search demands that a step validate
 some transition; only ``check_requirements`` demands the postcondition
 on the exit stores of the observed runs, since a final is not tied to
 the value the step walks its variable to.
+
+The search tries counterexamples first.  The requirement 1 and 2 checks
+move the entry or run that refutes a candidate to the front of the list
+they were given, and the search passes its own lists again for the
+next candidate; the conditional prefilter does the same with its first
+transitions, and the finals search tries the last store that refuted a
+final before scanning.  A candidate passes only when it passes
+everywhere, so the order decides which counterexample is found, never
+whether one is: pass/fail, the iterations a passing step validates,
+``candidates_tried``, assignments and verdicts are those of a
+lexicographic scan.  Only the work counters of ``SolveStats``
+(``stores_tested``, ``eval_rejections``, ``step_truncations``) fall.
+The initials are evaluated once per run for each initial that holds,
+not once per step candidate.  ``check_requirements`` passes fresh
+lists in lexicographic order, so it reports the first counterexample.
 """
 
 from __future__ import annotations
@@ -498,23 +513,40 @@ def _coarsen(invariant: Expr, g: str, genvars: tuple[str, ...]) -> Expr | None:
     return walk(invariant)
 
 
+def _to_front(items: list, i: int) -> None:
+    items.insert(0, items.pop(i))
+
+
 def _entry_counterexample(
     conjuncts: list[Expr], initial: dict[str, Expr], entries: list[Store], stats: SolveStats
 ) -> Store | None:
     """Requirement 1: the first entry store where an initial fails to
     evaluate, or where the conjuncts do not hold with each generalisation
-    variable at its initial value; None when every entry passes."""
-    for entry in entries:
+    variable at its initial value; None when every entry passes.  The
+    refuting entry is moved to the front of `entries`, so that a caller
+    passing the same list again tries it first."""
+    for i, entry in enumerate(entries):
         try:
             gvals = {g: eval_expr(e, entry) for g, e in initial.items()}
         except EvalError:
             stats.eval_rejections += 1
+            _to_front(entries, i)
             return entry
         env = {**entry, **gvals}
         stats.stores_tested += 1
         if not all(holds(c, env) for c in conjuncts):
+            _to_front(entries, i)
             return entry
     return None
+
+
+Start = tuple[LoopRun, dict[str, int]]  # a run and the generalisation variables' initial values
+
+
+def _starts(initial: dict[str, Expr], runs: list[LoopRun]) -> list[Start]:
+    """Each run with the initials evaluated at its entry, for initials
+    that passed requirement 1 there."""
+    return [(run, {g: eval_expr(e, run.entry) for g, e in initial.items()}) for run in runs]
 
 
 def _iterate(
@@ -540,25 +572,25 @@ def _iterate(
 
 
 def _step_counterexample(
-    conjuncts: list[Expr],
-    initial: dict[str, Expr],
-    step: dict[str, Expr],
-    runs: list[LoopRun],
-    stats: SolveStats,
+    conjuncts: list[Expr], step: dict[str, Expr], starts: list[Start], stats: SolveStats
 ) -> tuple[Store | None, int]:
-    """Requirement 2 along the runs, for initials that passed requirement
-    1 on their entries: the pre-store (with the generalisation variables'
-    values) of the first iteration that refutes `step`, or None; and the
-    number of iterations validated."""
+    """Requirement 2 along the runs of `starts` (see `_starts`): the
+    pre-store (with the generalisation variables' values) of the first
+    iteration that refutes `step`, or None; and the number of iterations
+    validated.  The refuting run is moved to the front of `starts`, so
+    that a caller passing the same list again tries it first.  A step
+    passes only on every run, so the order decides which counterexample
+    is found, never whether one is, nor `validated` when none is."""
     validated = 0
-    for run in runs:
-        gvals = {g: eval_expr(e, run.entry) for g, e in initial.items()}
-        for pre, post in run.transitions:
+    for i, (run, gvals) in enumerate(starts):
+        for j, (pre, post) in enumerate(run.transitions):
             env_pre = {**pre, **gvals}
-            if not all(holds(c, env_pre) for c in conjuncts):
+            # The first pre-store is the entry store, where requirement 1 holds.
+            if j and not all(holds(c, env_pre) for c in conjuncts):
                 break  # off the invariant; nothing to demand onward
             ok, nxt = _iterate(conjuncts, step, env_pre, post, stats)
             if not ok:
+                _to_front(starts, i)
                 return env_pre, validated
             if nxt is None:
                 break
@@ -575,10 +607,14 @@ def _post_counterexample(
     post: Expr,
     cfg: SolverConfig,
     stats: SolveStats,
+    first: Store | None = None,
 ) -> Store | None:
     """Requirement 3 by exhausting stores over the relevant variables: the
     first store where the invariant instantiated with `final` and the exit
-    condition hold but `post` does not, or None."""
+    condition hold but `post` does not, or None.  `first`, restricted to
+    those variables (a missing one read as 0), is tried before the scan;
+    the scan visits that store too, so it changes which counterexample is
+    found, not whether one is."""
     inv = substitute(putative, dict(final))
     names = sorted(
         (free_vars(putative) - set(genvars))
@@ -587,7 +623,8 @@ def _post_counterexample(
         | set().union(*(free_vars(e) for e in final.values()))
     )
     exit_cond = Op("¬", (loop.cond,))
-    for store in stores(names, cfg.domain_bound):
+    tried = [] if first is None else [{n: first.get(n, 0) for n in names}]
+    for store in itertools.chain(tried, stores(names, cfg.domain_bound)):
         stats.stores_tested += 1
         if holds(inv, store) and holds(exit_cond, store) and not holds(post, store):
             return store
@@ -627,6 +664,8 @@ class _Search:
         self.genvars = genvars
         self.cfg = cfg
         self.stats = stats
+        # Reordered as candidates are refuted (see the checks); the caller's
+        # list is never mutated, since check_requirements needs its order.
         self.runs = runs
         self.entries = [r.entry for r in runs]
         self.any_transition = any(r.transitions for r in runs)
@@ -649,12 +688,10 @@ class _Search:
                 return candidate
         return None
 
-    def _preserves(self, comp: _Component, init: dict[str, Expr], step: dict[str, Expr]) -> bool:
+    def _preserves(self, comp: _Component, starts: list[Start], step: dict[str, Expr]) -> bool:
         """Requirement 2, plus the search's own demand that the step
         validate at least one iteration when there are any."""
-        refuting, validated = _step_counterexample(
-            comp.conjuncts, init, step, self.runs, self.stats
-        )
+        refuting, validated = _step_counterexample(comp.conjuncts, step, starts, self.stats)
         return refuting is None and (validated > 0 or not self.any_transition)
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
@@ -668,7 +705,9 @@ class _Search:
                 if refuting is not None:
                     continue
                 some_initial_held = True
-                step = self._find_step(comp, init)
+                starts = _starts(init, self.runs)
+                step = self._find_step(comp, starts)
+                self.runs = [run for run, _ in starts]  # the next initial tries refuters first
                 if step is not None:
                     return init, step
             detail = (
@@ -685,42 +724,43 @@ class _Search:
             )
         raise SolverFailure(2 if some_initial_held else 1, detail, self.stats)
 
-    def _find_step(self, comp: _Component, init: dict[str, Expr]) -> dict[str, Expr] | None:
+    def _find_step(self, comp: _Component, starts: list[Start]) -> dict[str, Expr] | None:
         conditional = self.branch_cond is not None and len(comp.genvars) == 1
         # With a branching body, cap unconditional templates so the
         # conditional stage is reachable within the budget.
         cap = 5 if conditional else None
         pools = [_pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
         steps = (dict(zip(comp.genvars, tup)) for tup in _tuples(pools, cap))
-        found = self._first(steps, lambda step: self._preserves(comp, init, step))
+        found = self._first(steps, lambda step: self._preserves(comp, starts, step))
         if found is None and conditional:
-            found = self._find_conditional_step(comp, init, pools[0])
+            found = self._find_conditional_step(comp, starts, pools[0])
         return found
 
     def _find_conditional_step(
-        self, comp: _Component, init: dict[str, Expr], pool: Pool
+        self, comp: _Component, starts: list[Start], pool: Pool
     ) -> dict[str, Expr] | None:
         g = comp.genvars[0]
         cond = self.branch_cond
         assert cond is not None
 
         # Viability prefilter on first transitions only, where the
-        # generalisation variable's value is fixed by the initial.
-        firsts: list[tuple[Store, Store, bool]] = []
-        for run in self.runs:
+        # generalisation variable's value is fixed by the initial, split by
+        # the branch taken.  The first pre-store is the entry store, where
+        # requirement 1 holds.
+        firsts: dict[bool, list[tuple[Store, Store]]] = {True: [], False: []}
+        for run, gvals in starts:
             if run.transitions:
                 pre, post = run.transitions[0]
-                env = {**pre, g: eval_expr(init[g], run.entry)}
-                if all(holds(c, env) for c in comp.conjuncts):
-                    firsts.append((env, post, bool(eval_expr(cond, pre))))
+                firsts[bool(eval_expr(cond, pre))].append(({**pre, **gvals}, post))
 
         def viable(expr: Expr, want: bool) -> bool:
             self._spend()
-            return all(
-                _iterate(comp.conjuncts, {g: expr}, env, post, self.stats)[0]
-                for env, post, taken in firsts
-                if taken is want
-            )
+            todo = firsts[want]
+            for i, (env, post) in enumerate(todo):
+                if not _iterate(comp.conjuncts, {g: expr}, env, post, self.stats)[0]:
+                    _to_front(todo, i)  # the next template tries it first
+                    return False
+            return True
 
         @functools.cache
         def branches(size: int, want: bool) -> list[Expr]:
@@ -728,15 +768,21 @@ class _Search:
 
         pairs = _tuples([lambda s: branches(s, True), lambda s: branches(s, False)])
         steps = ({g: Case(cond, then, other)} for then, other in pairs)
-        return self._first(steps, lambda step: self._preserves(comp, init, step))
+        return self._first(steps, lambda step: self._preserves(comp, starts, step))
 
     def solve_finals(self, post: Expr) -> dict[str, Expr]:
         pool = _pool(self.atoms, self.cfg.operator_pool)
         finals = (dict(zip(self.genvars, tup)) for tup in _tuples([pool] * len(self.genvars)))
 
+        last: Store | None = None  # the store that refuted the previous final
+
         def implies_post(final: dict[str, Expr]) -> bool:
+            nonlocal last
             args = (self.putative, self.genvars, final, self.loop, post, self.cfg, self.stats)
-            return _post_counterexample(*args) is None
+            found = _post_counterexample(*args, first=last)
+            if found is not None:
+                last = found
+            return found is None
 
         try:
             final = self._first(finals, implies_post)
@@ -858,11 +904,14 @@ def check_requirements(
     # Requirement 1: the initials make the invariant hold whenever the loop
     # is entered.  Requirement 2: the step walks every observed iteration;
     # a step error truncates a run only where _excused says so.
+    # Fresh lists, in lexicographic order, so each check reports its first
+    # counterexample.
     conjuncts = top_conjuncts(putative)
     entry = _entry_counterexample(conjuncts, assignment.initial, [r.entry for r in runs], stats)
     if entry is not None:
         return as_failure(1, entry)
-    refuting, _ = _step_counterexample(conjuncts, assignment.initial, assignment.step, runs, stats)
+    starts = _starts(assignment.initial, runs)
+    refuting, _ = _step_counterexample(conjuncts, assignment.step, starts, stats)
     if refuting is not None:
         return as_failure(2, refuting)
 

@@ -236,6 +236,8 @@ def test_bounds_below_one_are_bad_input(capsys, tmp_path, programs):
         (["verify", str(wrong), "--bound", "-1"], "--bound"),
         (["discover", simple, "--bound", "0"], "--bound"),
         (["trace", simple, "--refutation-bound", "0"], "--refutation-bound"),
+        (["discover", simple, "--max-iter", "-1"], "--max-iter"),
+        (["trace", simple, "--max-iter", "0"], "--max-iter"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
@@ -251,6 +253,19 @@ def test_large_numeral_traces(capsys, monkeypatch):
     code, out, _ = run(capsys, "trace", "-")
     assert code == 0
     assert "[RenamingFound] x+g3=n ∧ x+(1+g4)=n+3000" in out
+
+
+def test_power_tower_gives_a_verdict(capsys, monkeypatch):
+    # x := x ^ x builds (2^2048)^(2^2048) on the fourth iteration; without
+    # the evaluator's overflow cap that ended in a MemoryError and exit 1.
+    program = (
+        "{n >= 0} x := 2; i := 0; "
+        "WHILE i < n DO BEGIN x := x ^ x; i := i + 1 END {i = n}"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(program))
+    code, _, err = run(capsys, "discover", "-")
+    assert code in (0, 2)
+    assert "Traceback" not in err
 
 
 def test_seed_variable_is_rejected(capsys, monkeypatch, programs):

@@ -46,12 +46,31 @@ def test_division_by_zero_raises():
         eval_expr(e("0 / 0"), {})
     with pytest.raises(EvalError):
         eval_expr(e("1 % 0"), {})
+    # A dividend past Python's 4,300-digit printing limit (a sum can grow
+    # that wide) still raises EvalError, not a ValueError from its message.
+    with pytest.raises(EvalError):
+        eval_expr(e("x / 0"), {"x": 2**20000})
 
 
 def test_zero_to_the_zero_is_one():
     assert eval_expr(e("0 ^ 0"), {}) == 1
     assert eval_expr(e("0 ^ 3"), {}) == 0
     assert eval_expr(e("2 ^ 10"), {}) == 1024
+
+
+def test_products_and_powers_wider_than_the_cap_overflow():
+    assert eval_expr(e("2 ^ 4095"), {}) == 2**4095  # 4,096 bits
+    big = {"x": 2**4000, "y": 2**96}  # the product has 4,097 bits
+    assert eval_expr(e("x * (y - 1)"), big) == 2**4000 * (2**96 - 1)
+    # 4^2049 is rejected by its base's width before it is computed.
+    for text, store in (("2 ^ 4096", {}), ("4 ^ 2049", {}), ("x * y", big)):
+        with pytest.raises(EvalError) as err:
+            eval_expr(e(text), store)
+        assert err.value.kind == "Overflow"
+        assert holds(e(f"{text} = 0"), store) is False
+    # Bases 0 and 1 never overflow, whatever the exponent.
+    assert eval_expr(e("1 ^ x"), big) == 1
+    assert eval_expr(e("0 ^ x"), big) == 0
 
 
 def test_unbound_variable_raises():
@@ -130,6 +149,13 @@ def test_exec_error_outcome():
     t = parse_program("{n >= 0} x := 1 / n {n >= 0}")
     out = exec_stmt(t.program, {"n": 0, "x": 0}, fuel=10)
     assert isinstance(out, ExecError) and out.kind == "DivByZero"
+
+
+def test_exec_overflow_outcome():
+    # 2, 4, 256, then 256^256 = 2^2048, then (2^2048)^(2^2048).
+    t = parse_program("{n >= 0} x := 2; WHILE 0 = 0 DO x := x ^ x {n >= 0}")
+    out = exec_stmt(t.program, {"n": 0, "x": 0}, fuel=10)
+    assert isinstance(out, ExecError) and out.kind == "Overflow"
 
 
 def test_exec_does_not_mutate_input_store():

@@ -1,5 +1,7 @@
 """Bounded-testing witness search for generalisation variables."""
 
+import random
+
 import pytest
 
 from loopinv.engine import annotate_program
@@ -16,7 +18,10 @@ from loopinv.solver import (
     _NONE,
     _coarsen,
     _pool,
+    _entry_counterexample,
     _solve_for,
+    _starts,
+    _step_counterexample,
     _tuples,
     check_requirements,
     collect_trajectories,
@@ -24,7 +29,9 @@ from loopinv.solver import (
     input_vars,
     solve,
 )
+from loopinv import solver
 from loopinv.terms import Case, Num, Op, Var, While
+from loopinv.wlp import top_conjuncts
 
 
 def e(text):
@@ -198,8 +205,63 @@ def test_simple_exponentiation_full_assignment():
     assert a.final[g_power] == Num(1)
     assert report.verdict == VerifiedUpToBound(bound=6)
     assert report.stats.candidates_tried == 675  # unconditional steps, joint finals
+    assert report.stats.stores_tested == 3721  # refuting entries and runs tried first
     # Division by k truncates the k=0 runs rather than rejecting.
     assert report.stats.step_truncations > 0
+
+
+def test_check_outcomes_do_not_depend_on_run_order():
+    # The search moves a refuting entry or run to the front of its lists;
+    # that may change which counterexample is found, never whether one is,
+    # nor the number of iterations a passing step validates.
+    annotated, d = discovered(EXP_SIMPLE)
+    runs = collect_trajectories(annotated, d.node, SolverConfig())
+    conjuncts = top_conjuncts(d.putative)
+    g_count, g_power = d.genvars
+    initial = {g_count: Var("n"), g_power: e("k ^ n")}
+    atoms = [Num(0), Num(1), Num(2), Var("k"), Var("n"), Var("x"), Var("y")]
+    pools = [_pool(atoms + [Var(g)], ("-", "/")) for g in d.genvars]
+    steps = [dict(zip(d.genvars, tup)) for _, tup in zip(range(400), _tuples(pools))]
+    steps.append({g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")})
+    rng = random.Random(6)
+    for _ in range(3):
+        shuffled = rng.sample(runs, len(runs))
+        entries = [r.entry for r in shuffled]
+        starts = _starts(initial, shuffled)  # reused, as the search reuses it
+        outcomes = set()
+        for step in steps:
+            ref, validated = _step_counterexample(
+                conjuncts, step, _starts(initial, runs), SolveStats()
+            )
+            got, got_validated = _step_counterexample(conjuncts, step, starts, SolveStats())
+            assert (got is None) == (ref is None)
+            assert ref is not None or got_validated == validated
+            outcomes.add(ref is None)
+        assert outcomes == {True, False}
+        wrong = {g_count: Var("n"), g_power: Var("y")}
+        for init, holds_on_entry in ((wrong, False), (initial, True)):
+            lexicographic = [r.entry for r in runs]
+            ref = _entry_counterexample(conjuncts, init, lexicographic, SolveStats())
+            got = _entry_counterexample(conjuncts, init, entries, SolveStats())
+            assert (got is None) == (ref is None) == holds_on_entry
+
+
+def test_solve_leaves_collected_runs_in_order(monkeypatch):
+    # check_requirements reports the first counterexample in lexicographic
+    # order, so the search must reorder only its own lists.
+    collected = []
+
+    def collect(*args, **kwargs):
+        runs = collect_trajectories(*args, **kwargs)
+        collected.append((runs, list(runs)))
+        return runs
+
+    monkeypatch.setattr(solver, "collect_trajectories", collect)
+    annotated, d = discovered(EXP_SIMPLE)
+    report = solve(annotated, d.node, d.putative, d.genvars, d.post)
+    assert isinstance(report.verdict, VerifiedUpToBound)
+    ((runs, before),) = collected
+    assert all(a is b for a, b in zip(runs, before)) and len(runs) == len(before)
 
 
 def test_nested_inner_assignment():
