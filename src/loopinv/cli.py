@@ -17,9 +17,9 @@ Three modes over a program file (or ``-`` for stdin):
 
 Exit codes: 0 all checks passed; 1 a bounded check found a
 counterexample; 2 discovery or witness search failed (or the input was
-rejected before checking); 3 the program did not parse or sort-check, a
-bound or the iteration budget was below 1, or the input nests too
-deeply to analyse.
+rejected before checking); 3 the command line was malformed, the
+program did not parse or sort-check, a bound or the iteration budget
+was below 1, or the input nests too deeply to analyse.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .solver import (
     solve,
 )
 from .terms import Expr, Op, Seq, Skip, Stmt, Triple, While, free_vars, program_vars, substatements
-from .wlp import LOOP_MODES, WlpError, entry_context, vcs_for_loop, wlp
+from .wlp import WlpError, entry_context, vcs_for_loop, wlp
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -83,19 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RULE",
         help="disable a simplification rule (repeatable; R1..R6)",
     )
-    p.add_argument(
-        "--wlp-loop-rule",
-        choices=LOOP_MODES,
-        default="substitute",
-        help="how weakest liberal preconditions pass through annotated loops "
-        "(default: substitute the loop's summary equation)",
-    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse's usage-error code, 2, would read as "no invariant"
+        return EXIT_BAD_INPUT if err.code else EXIT_OK
     for flag, value in (
         ("--bound", args.bound),
         ("--max-iter", args.max_iter),
@@ -138,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(
         max_iterations=args.max_iter,
-        wlp_loop_mode=args.wlp_loop_rule,
         simp=SimpConfig(
             refutation_bound=args.refutation_bound,
             disabled_rules=frozenset(args.no_rule),

@@ -27,11 +27,13 @@ from dataclasses import dataclass, field, replace
 from .embedding import FreshSupply, coupled, msg, msg_list
 from .simplifier import RewriteEvent, SimpConfig, simplify
 from .terms import (
+    BOOL,
     Block,
     Expr,
     If,
     Op,
     Seq,
+    SortError,
     Stmt,
     TRUE,
     Triple,
@@ -39,6 +41,7 @@ from .terms import (
     free_vars,
     program_vars,
     renaming_of,
+    sort_of,
 )
 from .wlp import WlpError, top_conjuncts, wlp
 
@@ -46,7 +49,6 @@ from .wlp import WlpError, top_conjuncts, wlp
 @dataclass(frozen=True)
 class EngineConfig:
     max_iterations: int = 64
-    wlp_loop_mode: str = "substitute"  # how wlp treats inner annotated loops
     simp: SimpConfig = SimpConfig()
 
 
@@ -64,7 +66,7 @@ class DerivationTrace:
 
 class EngineFailure(Exception):
     """Invariant search failed; kind ∈ {IterationBudget, AllBranchesTrue,
-    MissingPostcondition} plus wrapped wlp errors."""
+    NoCommonShape, MissingPostcondition} plus wrapped wlp errors."""
 
     def __init__(self, kind: str, message: str, trace: DerivationTrace | None = None):
         super().__init__(f"{kind}: {message}")
@@ -139,7 +141,7 @@ def find_invariant(
             p = merged
             continue
 
-        pulled = wlp(loop.body, p, cfg.wlp_loop_mode)
+        pulled = wlp(loop.body, p, "substitute")
         units = top_conjuncts(pulled)
         if not any(isinstance(u, Op) and u.op == "⇒" for u in units):
             units = [pulled]  # no guarded paths: keep the formula whole
@@ -159,6 +161,12 @@ def find_invariant(
             note += f"; collapsed to True: {len(units) - len(live)}"
         trace.steps.append(TraceStep("WLPStep", new_p, note))
         p = new_p
+        try:  # paths of different shapes generalise to a variable, which is no formula
+            shaped = sort_of(p) == BOOL
+        except SortError:
+            shaped = False
+        if not shaped:
+            raise EngineFailure("NoCommonShape", "the body's paths generalise to no formula", trace)
 
     trace.steps.append(
         TraceStep("Budget", p, f"no renaming of an earlier approximation within {cfg.max_iterations} iterations")
@@ -204,7 +212,7 @@ def annotate_program(
                 b2 = visit(b, post)
                 if post is not None:
                     try:
-                        a_post: Expr | None = wlp(b2, post, cfg.wlp_loop_mode)
+                        a_post: Expr | None = wlp(b2, post, "substitute")
                     except WlpError:
                         a_post = None
                 else:

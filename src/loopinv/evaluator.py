@@ -10,9 +10,10 @@ before it is refuted.  Boolean connectives are short-circuit, so
 `false ∧ 1/0 = 0` evaluates to false.
 
 Statement execution is pure: the input store is never mutated.  Fuel
-counts loop-body iterations only (straight-line code is free); an
-optional hook observes loop entry, each iteration, and loop exit, which
-is how trajectory collection is implemented.
+counts loop-body iterations only (straight-line code is free).  One
+loop node may be watched: each completed visit to it is recorded as the
+store at every test of its guard, from entry to exit, which is how
+trajectory collection is implemented.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 from .terms import Assign, Block, Case, Ctor, Expr, If, Num, Op, Seq, Skip, Stmt, Var, While
 
 Store = dict[str, int]
+Visit = tuple[Store, ...]  # one visit to a loop: the store at each test of its guard
 
 MAX_BITS = 4096  # the widest result of `*` or `^`; a wider one is an Overflow
-
-# hook(event, loop_node, store_snapshot); event ∈ {"enter", "iter", "exit"}
-ExecHook = Callable[[str, While, Store], None]
 
 
 class EvalError(Exception):
@@ -49,6 +47,7 @@ class ExecOutcome:
 @dataclass(frozen=True)
 class Finished(ExecOutcome):
     store: dict
+    visits: tuple[Visit, ...]  # the watched loop's, in order of exit
 
 
 @dataclass(frozen=True)
@@ -145,51 +144,52 @@ class _OutOfFuel(Exception):
     pass
 
 
-def exec_stmt(st: Stmt, store: Store, fuel: int, hook: ExecHook | None = None) -> ExecOutcome:
-    """Run a statement on a copy of `store`; fuel bounds loop iterations."""
+def exec_stmt(st: Stmt, store: Store, fuel: int, watch: While | None = None) -> ExecOutcome:
+    """Run a statement on a copy of `store`; fuel bounds loop iterations.
+    Visits to the loop node `watch` of `st`, matched by identity, are recorded."""
     s = dict(store)
     budget = [fuel]
+    visits: list[Visit] = []
     try:
-        _run(st, s, budget, hook)
+        _run(st, s, budget, watch, visits)
     except _OutOfFuel:
         return FuelExhausted()
     except EvalError as err:
         return ExecError(err.kind)
-    return Finished(s)
+    return Finished(s, tuple(visits))
 
 
-def _run(st: Stmt, s: Store, budget: list[int], hook: ExecHook | None) -> None:
+def _run(st: Stmt, s: Store, budget: list[int], watch: While | None, visits: list[Visit]) -> None:
     match st:
         case Skip():
             return
         case Assign(var, rhs):
             s[var] = eval_expr(rhs, s)
         case Seq(a, b):
-            _run(a, s, budget, hook)
-            _run(b, s, budget, hook)
+            _run(a, s, budget, watch, visits)
+            _run(b, s, budget, watch, visits)
         case If(cond, t, e):
-            _run(t if eval_expr(cond, s) else e, s, budget, hook)
+            _run(t if eval_expr(cond, s) else e, s, budget, watch, visits)
         case Block(locs, body):
             saved = {v: s[v] for v in locs if v in s}
             for v in locs:
                 s[v] = 0
-            _run(body, s, budget, hook)
+            _run(body, s, budget, watch, visits)
             for v in locs:
                 if v in saved:
                     s[v] = saved[v]
                 else:
                     del s[v]
-        case While(cond, body) as loop:
-            if hook is not None:
-                hook("enter", loop, dict(s))
+        case While(cond, body):
+            states = [dict(s)] if st is watch else None
             while eval_expr(cond, s):
                 if budget[0] <= 0:
                     raise _OutOfFuel()
                 budget[0] -= 1
-                if hook is not None:
-                    hook("iter", loop, dict(s))
-                _run(body, s, budget, hook)
-            if hook is not None:
-                hook("exit", loop, dict(s))
+                _run(body, s, budget, watch, visits)
+                if states is not None:
+                    states.append(dict(s))
+            if states is not None:
+                visits.append(tuple(states))
         case _:
             raise TypeError(f"not a Stmt: {st!r}")

@@ -100,7 +100,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .evaluator import EvalError, Finished, Store, eval_expr, exec_stmt, holds, stores
+from .evaluator import EvalError, Finished, Store, Visit, eval_expr, exec_stmt, holds, stores
 from .parser import pretty
 from .terms import (
     NAT_OPS,
@@ -210,17 +210,18 @@ class _Budget(Exception):
 
 @dataclass
 class LoopRun:
-    """One dynamic visit to a loop: the store at entry, before/after each
-    body iteration, and at exit."""
+    """One dynamic visit to a loop: the store at each test of its guard,
+    from entry to exit.  The store after iteration i is the store before
+    iteration i+1, because evaluating the guard changes nothing."""
 
-    entry: Store
-    pres: list[Store] = field(default_factory=list)
-    posts: list[Store] = field(default_factory=list)
-    exit: Store | None = None
+    states: Visit
+    entry: Store = field(init=False)
+    exit: Store = field(init=False)
+    transitions: list[tuple[Store, Store]] = field(init=False)
 
-    @property
-    def transitions(self) -> list[tuple[Store, Store]]:
-        return list(zip(self.pres, self.posts))
+    def __post_init__(self) -> None:
+        self.entry, self.exit = self.states[0], self.states[-1]
+        self.transitions = list(zip(self.states, self.states[1:]))
 
 
 def input_vars(triple: Triple) -> list[str]:
@@ -258,9 +259,9 @@ def collect_trajectories(
     triple: Triple, loop: While, cfg: SolverConfig, stats: SolveStats | None = None
 ) -> list[LoopRun]:
     """Run the program on every precondition-satisfying input store with
-    values ≤ domain_bound; record `loop`'s entries, iterations and exits.
-    `loop` is matched by object identity, so pass the node from the very
-    program being run.  Runs that do not finish cleanly are skipped."""
+    values ≤ domain_bound; record each visit to `loop`.  `loop` is matched
+    by object identity, so pass the node from the very program being run.
+    Runs that do not finish cleanly are skipped."""
     stats = stats if stats is not None else SolveStats()
     zeros = dict.fromkeys(sorted(program_vars(triple)), 0)
     runs: list[LoopRun] = []
@@ -268,31 +269,11 @@ def collect_trajectories(
         store = {**zeros, **inputs}
         if not holds(triple.pre, store):
             continue
-
-        events: list[tuple[str, Store]] = []
-
-        def hook(ev: str, node: While, snapshot: Store) -> None:
-            if node is loop:
-                events.append((ev, snapshot))
-
-        outcome = exec_stmt(triple.program, store, cfg.exec_fuel, hook)
+        outcome = exec_stmt(triple.program, store, cfg.exec_fuel, loop)
         if not isinstance(outcome, Finished):
             stats.runs_skipped += 1
             continue
-        current: LoopRun | None = None
-        for ev, snapshot in events:
-            if ev == "enter":
-                current = LoopRun(entry=snapshot)
-            elif ev == "iter" and current is not None:
-                if current.pres:
-                    current.posts.append(snapshot)
-                current.pres.append(snapshot)
-            elif ev == "exit" and current is not None:
-                if current.pres:
-                    current.posts.append(snapshot)
-                current.exit = snapshot
-                runs.append(current)
-                current = None
+        runs.extend(LoopRun(states) for states in outcome.visits)
     stats.runs_collected += len(runs)
     return runs
 

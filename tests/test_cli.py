@@ -244,6 +244,38 @@ def test_bounds_below_one_are_bad_input(capsys, tmp_path, programs):
         assert err.startswith(f"error: {flag} must be at least 1")
 
 
+def test_usage_errors_are_bad_input(capsys, programs):
+    # argparse exits 2 on a usage error, which is the code for "no invariant".
+    simple = str(programs / "exp_simple.imp")
+    for argv in (
+        ["discover", simple, "--no-such-flag"],
+        ["discover", simple, "--bound", "x"],
+        ["prove", simple],
+        ["discover", simple, "--wlp-loop-rule", "invariant"],  # a removed option
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "loopinv: error:" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: loopinv")
+
+
+def test_paths_of_different_shapes_give_no_invariant(capsys, monkeypatch):
+    # The two paths through the body generalise to a bare variable, which
+    # `trace` accepted as the invariant and `discover` then evaluated as a
+    # formula, ending in a ValueError traceback and exit 1.
+    program = (
+        "{n >= 0} x := 0; y := 0; WHILE x < n DO BEGIN IF x < 2 THEN y := 0 "
+        "ELSE SKIP; x := x + 1 END {x = n /\\ y = 0}"
+    )
+    for mode in ("trace", "discover"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(program))
+        code, out, err = run(capsys, mode, "-")
+        assert code == 2
+        assert "error: NoCommonShape: the body's paths generalise to no formula" in out
+        assert "Traceback" not in err
+
+
 def test_large_numeral_traces(capsys, monkeypatch):
     # The embedding used to unfold a numeral one successor per unit, so a
     # literal in the thousands exhausted the interpreter stack and exited

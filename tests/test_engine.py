@@ -195,13 +195,6 @@ END
     assert inner.failure.kind == "MissingPostcondition"
 
 
-def test_invariant_mode_pull_through_annotated_loop():
-    # With the classical loop row selected, discovery on a program whose
-    # only loop is the target still works identically.
-    _, ds = discover(EXP_SIMPLE, wlp_loop_mode="invariant")
-    assert pretty(ds[0].putative) == "x+g3=n ∧ y*g4=k^n"
-
-
 def test_rule_toggles_change_the_derivation():
     # Without bound tightening the first pull-back keeps x+1 >= n, so the
     # golden sequence cannot appear.
@@ -209,6 +202,13 @@ def test_rule_toggles_change_the_derivation():
     d = ds[0]
     formulas = [pretty(s.formula) for s in d.trace.steps]
     assert "x+1=n ∧ y*k=k^n" not in formulas
+    # Without the literal relations of R6, the body's `y := 0` leaves 0=0
+    # in every approximation, and the invariant keeps it.
+    reset = "{n >= 0} x := 0; y := 0; WHILE x < n DO BEGIN y := 0; x := x + 1 END {x = n /\\ y = 0}"
+    _, ds = discover(reset, simp=SimpConfig(disabled_rules=frozenset({"R6"})))
+    assert all(pretty(s.formula).endswith(" ∧ 0=0") for s in ds[0].trace.steps[1:])
+    assert pretty(ds[0].putative) == "x+g2=n ∧ 0=0"
+    assert pretty(discover(reset)[1][0].putative) == "x+g2=n"
 
 
 def test_annotated_node_identity_preserved():

@@ -1,5 +1,5 @@
 """Concrete execution: natural-number arithmetic, error outcomes, fuel,
-and the loop observation hook.
+and the record of visits to a watched loop.
 
 The expected stores below were computed by hand from the programs and
 frozen before the evaluator existed.
@@ -19,6 +19,7 @@ from loopinv.evaluator import (
     holds,
 )
 from loopinv.parser import parse_expression, parse_program
+from loopinv.terms import While, substatements
 
 
 def e(text):
@@ -173,13 +174,42 @@ def test_block_locals_saved_and_restored():
     assert out.store["x"] == 1 and out.store["y"] == 9
 
 
-def test_hook_sees_enter_iter_exit():
+def test_watch_records_the_store_at_each_guard_test():
     t = parse_program("{n >= 0} WHILE x < n DO x := x + 1 {x = n}")
-    loop = t.program
-    events = []
-    exec_stmt(t.program, {"n": 2, "x": 0}, fuel=10, hook=lambda ev, node, s: events.append((ev, s["x"])))
-    assert events == [("enter", 0), ("iter", 0), ("iter", 1), ("exit", 2)]
-    del loop
+    out = exec_stmt(t.program, {"n": 2, "x": 0}, fuel=10, watch=t.program)
+    assert isinstance(out, Finished)
+    assert [[s["x"] for s in visit] for visit in out.visits] == [[0, 1, 2]]
+    assert out.visits[0][0] == {"n": 2, "x": 0} and out.visits[0][-1] == out.store
+    assert exec_stmt(t.program, {"n": 2, "x": 0}, fuel=10).visits == ()
+
+
+NESTED = """{n >= 0}
+i := 0;
+WHILE i < 2 DO
+BEGIN
+  j := 0;
+  WHILE j <= i DO j := j + 1 {j = i + 1};
+  i := i + 1
+END
+{i = 2}"""
+
+
+def test_watched_inner_loop_gives_one_visit_per_entry_in_exit_order():
+    t = parse_program(NESTED)
+    inner = next(st for st in substatements(t.program) if isinstance(st, While) and st.post)
+    out = exec_stmt(t.program, {"n": 0, "i": 0, "j": 0}, fuel=10, watch=inner)
+    assert isinstance(out, Finished)
+    assert [[(s["i"], s["j"]) for s in visit] for visit in out.visits] == [
+        [(0, 0), (0, 1)],
+        [(1, 0), (1, 1), (1, 2)],
+    ]
+
+
+def test_fuel_exhausted_run_records_no_visits():
+    # The inner loop's first visit completes; the second runs out of fuel.
+    t = parse_program(NESTED)
+    inner = next(st for st in substatements(t.program) if isinstance(st, While) and st.post)
+    assert exec_stmt(t.program, {"n": 0, "i": 0, "j": 0}, fuel=4, watch=inner) == FuelExhausted()
 
 
 # --- property: evaluation is a function of the store ------------------------
