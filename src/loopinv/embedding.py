@@ -15,6 +15,10 @@ would order them: m ⊴ n exactly when m ≤ n, and the two are coupled
 when moreover both are successors or both are zero.  So 1 ⊴ 2 and the
 two are coupled, while 0 ⊴ 1 only by diving.
 
+Both relations, and generalisation below, read a term through
+`terms.view` as a head applied to its children, the one functor view
+that `substitute`, `free_vars` and `renaming_of` share.
+
 Generalisation ⊓ recurses through equal functors and introduces one
 fresh variable per mismatched position (no sharing).  The most specific
 generalisation △ then merges generalisation variables that abstract the
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .terms import TRUE, Case, Ctor, Expr, Num, Op, Var, substitute
+from .terms import TRUE, Expr, Num, Var, rebuild, substitute, view
 
 
 @dataclass
@@ -55,28 +59,6 @@ class FreshSupply:
             if name not in self.avoid:
                 self.created.append(name)
                 return name
-
-
-# ---------------------------------------------------------------------------
-# The functor view: head symbol plus immediate subterms.
-
-
-def view(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
-    """Decompose into (head key, children) for embedding and
-    generalisation.  A numeral is an atomic head (`embeds` and `coupled`
-    order numerals by value); Var has no view (the variable rule handles
-    it)."""
-    match e:
-        case Num(n):
-            return ("num", n), ()
-        case Ctor(name):
-            return ("ctor", name), ()
-        case Op(op, args):
-            return ("op", op), args
-        case Case(cond, then, other):
-            return ("case",), (cond, then, other)
-        case _:
-            raise TypeError(f"no view for {e!r}")
 
 
 def embeds(e1: Expr, e2: Expr) -> bool:
@@ -135,17 +117,6 @@ class GenResult:
     theta_right: dict[str, Expr]
 
 
-def _rebuild(e: Expr, args: tuple[Expr, ...]) -> Expr:
-    """Put new children into e's shape (same head as e)."""
-    match e:
-        case Op(op, _):
-            return Op(op, args)
-        case Case():
-            return Case(*args)
-        case _:
-            return e  # leaves: Num, Ctor, Var
-
-
 def generalise(e1: Expr, e2: Expr, fresh: FreshSupply) -> GenResult:
     """The generalisation ⊓: recurse through equal heads, fresh variable
     per mismatch.  Identical subterms generalise to themselves."""
@@ -159,7 +130,7 @@ def generalise(e1: Expr, e2: Expr, fresh: FreshSupply) -> GenResult:
             ka, a_args = view(a)
             kb, b_args = view(b)
             if ka == kb and len(a_args) == len(b_args):
-                return _rebuild(a, tuple(go(s, t) for s, t in zip(a_args, b_args)))
+                return rebuild(a, tuple(go(s, t) for s, t in zip(a_args, b_args)))
         v = fresh.fresh()
         theta_left[v] = a
         theta_right[v] = b
@@ -169,29 +140,21 @@ def generalise(e1: Expr, e2: Expr, fresh: FreshSupply) -> GenResult:
 
 
 def msg(e1: Expr, e2: Expr, fresh: FreshSupply) -> GenResult:
-    """Most specific generalisation △: generalise, then repeatedly unify
-    generalisation variables that abstract the same subterm pair on both
-    sides, preferring the earliest-created name."""
+    """Most specific generalisation △: generalise, then unify generalisation
+    variables that abstract the same subterm pair on both sides into the
+    earliest-created one."""
     out = generalise(e1, e2, fresh)
-    while True:
-        names = list(out.theta_left)  # creation order
-        merge: tuple[str, str] | None = None
-        for i, v1 in enumerate(names):
-            for v2 in names[i + 1 :]:
-                if (
-                    out.theta_left[v1] == out.theta_left[v2]
-                    and out.theta_right[v1] == out.theta_right[v2]
-                ):
-                    merge = (v1, v2)
-                    break
-            if merge:
-                break
-        if merge is None:
-            return out
-        keep, drop = merge
-        out.generalised = substitute(out.generalised, {drop: Var(keep)})
+    earliest: dict[tuple[Expr, Expr], str] = {}
+    merge: dict[str, Expr] = {}
+    for v in out.theta_left:  # creation order
+        keep = earliest.setdefault((out.theta_left[v], out.theta_right[v]), v)
+        if keep != v:
+            merge[v] = Var(keep)
+    out.generalised = substitute(out.generalised, merge)
+    for drop in merge:
         del out.theta_left[drop]
         del out.theta_right[drop]
+    return out
 
 
 def msg_list(es: list[Expr], fresh: FreshSupply) -> Expr:

@@ -70,10 +70,17 @@ class Token:
     col: int
 
 
-# A parenthesis level costs eleven parser frames (the whole precedence
-# ladder), so the deepest input stays inside the interpreter's default
-# recursion limit of 1000.
+# A parenthesis level costs at most ten parser frames (`nested`, `_unary`,
+# `_atom` and one `expression` per binary precedence level it holds), so
+# the deepest input stays inside the interpreter's default recursion limit
+# of 1000.
 MAX_NESTING = 64
+
+# Binding strength of each operator, loosest first: the parser climbs it
+# and `pretty` parenthesises by it.
+_PREC = {"⇒": 1, "∨": 2, "∧": 3}
+_PREC.update({op: 4 for op in REL_OPS})
+_PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6, "^": 7, "¬": 8})
 
 KEYWORDS = {"SKIP", "IF", "THEN", "ELSE", "WHILE", "DO", "BEGIN", "END", "VAR", "TRUE", "FALSE"}
 
@@ -210,64 +217,24 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def expression(self) -> Expr:
-        return self._implies()
-
-    def _implies(self) -> Expr:
-        left = self._or()
-        if self.accept("OP", "⇒"):
-            return Op("⇒", (left, self.nested(self._implies)))  # right-assoc
-        return left
-
-    def _or(self) -> Expr:
-        left = self._and()
-        while self.accept("OP", "∨"):
-            left = Op("∨", (left, self._and()))
-        return left
-
-    def _and(self) -> Expr:
-        left = self._rel()
-        while self.accept("OP", "∧"):
-            left = Op("∧", (left, self._rel()))
-        return left
-
-    def _rel(self) -> Expr:
-        left = self._add()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value in REL_OPS:
-            self.advance()
-            right = self._add()
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.value in REL_OPS:
-                raise ParseError("comparisons do not chain; parenthesise", nxt.line, nxt.col)
-            return Op(tok.value, (left, right))
-        return left
-
-    def _add(self) -> Expr:
-        left = self._mul()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("+", "-"):
-                self.advance()
-                left = Op(tok.value, (left, self._mul()))
-            else:
-                return left
-
-    def _mul(self) -> Expr:
-        left = self._pow()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("*", "/", "%"):
-                self.advance()
-                left = Op(tok.value, (left, self._pow()))
-            else:
-                return left
-
-    def _pow(self) -> Expr:
+    def expression(self, loosest: int = 1) -> Expr:
+        """Precedence climbing over `_PREC`: an operand, then every binary
+        operator that binds at least as tightly as `loosest`."""
         left = self._unary()
-        while self.accept("OP", "^"):
-            left = Op("^", (left, self._unary()))
-        return left
+        while True:
+            tok = self.peek()
+            op = tok.value
+            if tok.kind != "OP" or op == "¬" or _PREC[op] < loosest:
+                return left
+            self.advance()
+            if op == "⇒":
+                right = self.nested(self.expression)  # right-assoc
+            else:
+                right = self.expression(_PREC[op] + 1)
+            nxt = self.peek()
+            if op in REL_OPS and nxt.kind == "OP" and nxt.value in REL_OPS:
+                raise ParseError("comparisons do not chain; parenthesise", nxt.line, nxt.col)
+            left = Op(op, (left, right))
 
     def _unary(self) -> Expr:
         if self.accept("OP", "¬"):
@@ -404,10 +371,6 @@ def parse_program(text: str) -> Triple:
 
 # ---------------------------------------------------------------------------
 # Pretty-printing
-
-_PREC = {"⇒": 1, "∨": 2, "∧": 3}
-_PREC.update({op: 4 for op in REL_OPS})
-_PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6, "^": 7, "¬": 8})
 
 
 def pretty(x: Expr | Stmt | Triple) -> str:

@@ -275,16 +275,8 @@ class _Simplifier:
     def _r6(self, e: Expr, facts: list[Expr]) -> Expr:
         while True:
             match e:
-                case Op(rel, (Num(a), Num(b))) if rel in REL_OPS:
-                    value = {
-                        "<": a < b,
-                        ">": a > b,
-                        "≤": a <= b,
-                        "≥": a >= b,
-                        "=": a == b,
-                        "≠": a != b,
-                    }[rel]
-                    after: Expr = TRUE if value else Ctor("False")
+                case Op(rel, (Num(), Num())) if rel in REL_OPS:
+                    after: Expr = TRUE if eval_expr(e, {}) else Ctor("False")
                 case Op("∧", (Ctor("True"), b)):
                     after = b
                 case Op("∧", (a, Ctor("True"))):

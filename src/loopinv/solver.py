@@ -117,10 +117,12 @@ from .terms import (
     Triple,
     Var,
     While,
+    assigned_vars,
     free_vars,
     program_vars,
     substatements,
     substitute,
+    view,
 )
 from .wlp import top_conjuncts
 
@@ -371,13 +373,9 @@ _ANY, _NONE = -1, -2  # besides one natural, what an equation admits for a varia
 
 
 def _occurrences(e: Expr, g: str) -> int:
-    match e:
-        case Var(name):
-            return int(name == g)
-        case Op(_, args):
-            return sum(_occurrences(a, g) for a in args)
-        case _:
-            return int(g in free_vars(e))
+    if isinstance(e, Var):
+        return int(e.name == g)
+    return sum(_occurrences(a, g) for a in view(e)[1])
 
 
 def _solve_for(c: Expr, g: str, env: Store) -> int | None:
@@ -913,9 +911,10 @@ def check_requirements(
 
 def diagnose_lost_variables(putative: Expr, body: Stmt) -> tuple[str, ...]:
     """Body-assigned variables missing from the invariant, in first-
-    assignment order.  A non-empty result usually means generalisation
+    assignment order; block locals are left out, since no invariant can
+    mention them.  A non-empty result usually means generalisation
     swallowed the variable's update (it only ever appeared as part of a
     larger subterm), so no witness search can succeed."""
-    mentioned = free_vars(putative)
+    missing = assigned_vars(body) - free_vars(putative)
     assigned = (st.var for st in substatements(body) if isinstance(st, Assign))
-    return tuple(v for v in dict.fromkeys(assigned) if v not in mentioned)
+    return tuple(v for v in dict.fromkeys(assigned) if v in missing)

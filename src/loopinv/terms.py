@@ -102,6 +102,35 @@ def conjoin(conjuncts: list[Expr]) -> Expr:
 Subst = dict[str, Expr]
 
 
+def view(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
+    """Decompose into (head key, children): the functor view that every
+    structural traversal shares.  A numeral is an atomic head (the
+    embedding orders numerals by value); Var has no view (each traversal
+    handles variables itself)."""
+    match e:
+        case Num(n):
+            return ("num", n), ()
+        case Ctor(name):
+            return ("ctor", name), ()
+        case Op(op, args):
+            return ("op", op), args
+        case Case(cond, then, other):
+            return ("case",), (cond, then, other)
+        case _:
+            raise TypeError(f"no view for {e!r}")
+
+
+def rebuild(e: Expr, args: tuple[Expr, ...]) -> Expr:
+    """Put new children into e's shape (same head as e)."""
+    match e:
+        case Op(op, _):
+            return Op(op, args)
+        case Case():
+            return Case(*args)
+        case _:
+            return e  # leaves: Num, Ctor, Var
+
+
 def substitute(e: Expr, theta: Subst) -> Expr:
     """Simultaneously replace free named variables per theta.
 
@@ -109,34 +138,18 @@ def substitute(e: Expr, theta: Subst) -> Expr:
     """
     if not theta:
         return e
-    match e:
-        case Var(name):
-            return theta.get(name, e)
-        case Num() | Ctor():
-            return e
-        case Op(op, args):
-            return Op(op, tuple(substitute(a, theta) for a in args))
-        case Case(cond, then, other):
-            return Case(substitute(cond, theta), substitute(then, theta), substitute(other, theta))
-        case _:
-            raise TypeError(f"not an Expr: {e!r}")
+    if isinstance(e, Var):
+        return theta.get(e.name, e)
+    return rebuild(e, tuple(substitute(a, theta) for a in view(e)[1]))
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case Num() | Ctor():
-            return frozenset()
-        case Op(_, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case Case(cond, then, other):
-            return free_vars(cond) | free_vars(then) | free_vars(other)
-        case _:
-            raise TypeError(f"not an Expr: {e!r}")
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    out: frozenset[str] = frozenset()
+    for a in view(e)[1]:
+        out |= free_vars(a)
+    return out
 
 
 def renaming_of(e1: Expr, e2: Expr, renameable: frozenset[str] | set[str]) -> dict[str, str] | None:
@@ -164,16 +177,11 @@ def renaming_of(e1: Expr, e2: Expr, renameable: frozenset[str] | set[str]) -> di
                     used.add(x)
                     return True
                 return False
-            case (Num(m), Num(n)):
-                return m == n
-            case (Ctor(n1), Ctor(n2)):
-                return n1 == n2
-            case (Op(o1, a1), Op(o2, a2)):
-                return o1 == o2 and len(a1) == len(a2) and all(walk(x, y) for x, y in zip(a1, a2))
-            case (Case(c1, t1, o1), Case(c2, t2, o2)):
-                return walk(c1, c2) and walk(t1, t2) and walk(o1, o2)
-            case _:
+            case (Var(), _) | (_, Var()):
                 return False
+        ka, a_args = view(a)
+        kb, b_args = view(b)
+        return ka == kb and len(a_args) == len(b_args) and all(walk(s, t) for s, t in zip(a_args, b_args))
 
     return mapping if walk(e1, e2) else None
 

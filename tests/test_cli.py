@@ -6,6 +6,8 @@ import json
 import pytest
 
 from loopinv.cli import main
+from loopinv.parser import ParseError, parse_expression
+from loopinv.terms import Op
 
 WRONG_INVARIANT = """{n >= 0}
 x := 0;
@@ -210,6 +212,23 @@ def test_too_deep_nesting_is_bad_input(capsys, tmp_path):
     deepest = "{n >= 0} x := " + "(" * 64 + "0" + ")" * 64 + " {x = 0}"
     target.write_text(deepest)
     assert run(capsys, "trace", str(target))[0] == 0
+    # Each negation and each implication's right operand is one level.
+    for levels, code in ((64, 0), (65, 3)):
+        negations = "{n >= 0} x := 0 {" + "¬" * levels + "true}"
+        implications = "{n >= 0} x := 0 {" + "x = 0 ⇒ " * levels + "x = 0}"
+        for text in (negations, implications):
+            target.write_text(text)
+            got, _, err = run(capsys, "trace", str(target))
+            assert got == code
+            assert ("nesting deeper than 64 levels" in err) == (code == 3)
+    # A parenthesis level that holds every precedence level is still one
+    # level, and the deepest such input stays within the recursion limit.
+    text = "0"
+    for _ in range(64):
+        text = f"a ∨ a ∧ a = a + a * a ^ ({text})"
+    assert isinstance(parse_expression(text), Op)
+    with pytest.raises(ParseError, match="nesting deeper than 64 levels"):
+        parse_expression(f"a ∨ a ∧ a = a + a * a ^ ({text})")
 
 
 def test_long_sequence_and_operator_chain_are_bad_input(capsys, tmp_path):

@@ -356,6 +356,14 @@ def test_diagnose_reports_first_assignment_order():
     body = parse_program("{0 = 0} a := 1; b := a; a := 2; c := 3 {0 = 0}").program
     lost = diagnose_lost_variables(e("b = 0"), body)
     assert lost == ("a", "c")
+    # A block local cannot occur in any invariant, so it is never lost.
+    program = parse_program(
+        "{n >= 0} x := 0; y := 0; WHILE x < n DO BEGIN VAR t; t := x + 1; x := t; y := y + t END"
+        " {x = n /\\ y = n}"
+    ).program
+    loop = program.second.second
+    assert isinstance(loop, While)
+    assert diagnose_lost_variables(e("x + g3 = n"), loop.body) == ("y",)
 
 
 def test_error_truncating_witness_verifies_degenerately(programs):
