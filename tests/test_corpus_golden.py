@@ -34,6 +34,7 @@ CASES = [
     ("exp_binary_pos", ["discover", "--format", "json"], 0),
     ("exp_swapped", ["discover", "--format", "json"], 2),
     ("exp_simple_annotated", ["verify"], 0),
+    ("exp_simple_annotated", ["verify", "--format", "json"], 0),
 ]
 
 
