@@ -10,16 +10,18 @@ Three modes over a program file (or ``-`` for stdin):
 * ``verify`` — for a program whose loops already carry ``{invariant}``
   annotations, check the classical conditions by bounded enumeration:
   the global condition pre ⇒ wlp(program, post) plus, for each loop on
-  the top-level statement spine, establishment / preservation /
-  sufficiency relative to the straight-line entry context;
+  the top-level statement sequence, establishment pre ⇒ wlp(prefix, I),
+  preservation and sufficiency;
 * ``trace`` — print the numbered sequence of approximations the
   discovery engine walked through for each loop.
 
 Exit codes: 0 all checks passed; 1 a bounded check found a
-counterexample; 2 discovery or witness search failed (or the input was
-rejected before checking); 3 the command line was malformed, the
-program did not parse or sort-check, a bound or the iteration budget
-was below 1, or the input nests too deeply to analyse.
+counterexample; 2 discovery or witness search failed, or the input was
+rejected before checking (for ``verify``: a loop without an invariant,
+an invariant over unbound variables, or an annotated loop nested inside
+another statement); 3 the command line was malformed, the program did
+not parse or sort-check, a bound or the iteration budget was below 1,
+or the input nests too deeply to analyse.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .solver import (
     solve,
 )
 from .terms import Expr, Op, Seq, Skip, Stmt, Triple, While, free_vars, program_vars, substatements
-from .wlp import WlpError, entry_context, vcs_for_loop, wlp
+from .wlp import WlpError, vcs_for_loop, wlp
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -264,12 +266,20 @@ def _counterexample(formula: Expr, bound: int) -> dict[str, int] | None:
 
 def _verify(triple: Triple, args: argparse.Namespace) -> int:
     known = program_vars(triple)
+    flat = _flatten(triple.program)
     for loop in (st for st in substatements(triple.program) if isinstance(st, While)):
         where = f"line {loop.line}" if loop.line is not None else "unknown line"
         if loop.invariant is None:
             print(
                 f"error: loop at {where} has no {{invariant}} annotation; "
                 "run discover first",
+                file=sys.stderr,
+            )
+            return EXIT_NO_INVARIANT
+        if not any(loop is st for st in flat):  # by identity: equal loops may sit elsewhere
+            print(
+                f"error: loop at {where} is nested in another statement; verify "
+                "checks only loops on the program's top-level sequence",
                 file=sys.stderr,
             )
             return EXIT_NO_INVARIANT
@@ -295,13 +305,11 @@ def _verify(triple: Triple, args: argparse.Namespace) -> int:
     if ce is not None:
         code = EXIT_REFUTED
 
-    flat = _flatten(triple.program)
     for i, st in enumerate(flat):
         if not isinstance(st, While):
             continue
-        ctx = entry_context(triple.pre, _reseq(flat[:i]))
         loop_post = wlp(_reseq(flat[i + 1 :]), triple.post, "invariant")
-        vcs = vcs_for_loop(ctx, st, loop_post)
+        vcs = vcs_for_loop(triple.pre, _reseq(flat[:i]), st, loop_post)
         entry: dict = {"location": st.line, "conditions": {}}
         for name, formula in (
             ("establishment", vcs.establishment),

@@ -132,58 +132,23 @@ def top_conjuncts(p: Expr) -> list[Expr]:
 class VCSet:
     """The three proof obligations for one annotated loop."""
 
-    establishment: Expr  # context on entry implies the invariant
+    establishment: Expr  # the precondition implies the invariant after the prefix
     preservation: Expr  # the invariant survives one body iteration
     sufficiency: Expr  # invariant plus exit condition implies the post
 
 
-def vcs_for_loop(pre_ctx: Expr, loop: While, post: Expr) -> VCSet:
+def vcs_for_loop(pre: Expr, prefix: Stmt, loop: While, post: Expr) -> VCSet:
     """Verification conditions for an invariant-annotated loop.
 
-    `pre_ctx` must already describe the state on loop entry (see
-    entry_context); `post` is what must hold after the loop exits.
+    `pre` holds before `prefix`, the statements that run up to the loop
+    (``Skip()`` when there are none), so establishment is
+    pre ⇒ wlp(prefix, I); `post` is what must hold after the loop exits.
     """
     if loop.invariant is None:
         raise UnannotatedLoop("cannot build VCs without an invariant")
     inv = loop.invariant
     return VCSet(
-        establishment=Op("⇒", (pre_ctx, inv)),
+        establishment=Op("⇒", (pre, wlp(prefix, inv))),
         preservation=Op("⇒", (Op("∧", (loop.cond, inv)), wlp(loop.body, inv))),
         sufficiency=Op("⇒", (Op("∧", (Op("¬", (loop.cond,)), inv)), post)),
     )
-
-
-def entry_context(pre: Expr, prefix: Stmt | None) -> Expr:
-    """Describe the state after running `prefix` from states satisfying `pre`.
-
-    Conjoins `pre` with one equation per straight-line assignment whose
-    value is expressible over unassigned variables (assignments like
-    x := x+1 contribute nothing — sound, just weaker).
-    """
-    if prefix is None:
-        return pre
-
-    assigned = assigned_vars(prefix)
-    env: dict[str, Expr] = {}
-
-    def walk(st: Stmt) -> bool:
-        """Track final values symbolically; False means we had to bail."""
-        match st:
-            case Skip():
-                return True
-            case Assign(var, rhs):
-                env[var] = substitute(rhs, env)
-                return True
-            case Seq(a, b):
-                return walk(a) and walk(b)
-            case _:
-                return False  # branching/looping prefix: keep only `pre`
-
-    if not walk(prefix):
-        return pre
-    eqs = [
-        Op("=", (Var(v), e))
-        for v, e in env.items()
-        if not (free_vars(e) & assigned)
-    ]
-    return conjoin([pre] + eqs)

@@ -43,7 +43,7 @@ from loopinv.terms import (
     renaming_of,
     substitute,
 )
-from loopinv.wlp import entry_context, vcs_for_loop, wlp
+from loopinv.wlp import vcs_for_loop, wlp
 
 
 def e(text):
@@ -405,8 +405,7 @@ def test_criterion_10_annotated_loop_conditions_hold(programs):
     assert isinstance(loop, While) and loop.invariant is not None
 
     prefix = Seq(triple.program.first, triple.program.second.first)
-    ctx = entry_context(triple.pre, prefix)
-    vcs = vcs_for_loop(ctx, loop, triple.post)
+    vcs = vcs_for_loop(triple.pre, prefix, loop, triple.post)
     conditions_hold = True
     for formula in (vcs.establishment, vcs.preservation, vcs.sufficiency):
         names = sorted(free_vars(formula))

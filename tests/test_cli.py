@@ -145,8 +145,58 @@ def test_verify_reports_counterexamples(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(target))
     assert code == 1
     assert "global condition: fails at k=0 n=1" in out
-    assert "loop at line 4: establishment fails at k=0 n=1 x=0 y=1" in out
+    assert "loop at line 4: establishment fails at k=0 n=1" in out.splitlines()
     assert "loop at line 4: sufficiency holds" in out
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # a branch in the prefix
+        "{n >= 0} x := 0; y := 0; IF n > 5 THEN y := 0 ELSE SKIP; "
+        "WHILE x < n DO {y = x /\\ x <= n} BEGIN x := x + 1; y := y + 1 END {y = n}",
+        # a loop in the prefix
+        "{n >= 0} x := 0; WHILE x < n DO {x <= n} x := x + 1; y := 0; "
+        "WHILE y < x DO {y <= x /\\ x = n} y := y + 1 {y = n}",
+        # a prefix that reassigns an input after reading it
+        "{n >= 0} x := n; n := n + 1; WHILE x < n DO {x <= n} x := x + 1 {x = n}",
+    ],
+    ids=["branching-prefix", "looping-prefix", "reassigned-input"],
+)
+def test_verify_establishment_follows_the_prefix(capsys, tmp_path, source):
+    target = tmp_path / "prog.imp"
+    target.write_text(source, encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(target), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["global"]["holds"]
+    assert doc["loops"]
+    for entry in doc["loops"]:
+        assert all(res["holds"] for res in entry["conditions"].values()), entry
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # under IF; without the check, x < 3 passes although it is not preserved
+        "{n >= 0}\nx := 0;\nIF n > 0 THEN\nWHILE x < n DO {x <= n /\\ x < 3} x := x + 1\n"
+        "ELSE SKIP {x = n}",
+        "{n >= 0}\nx := 0;\nBEGIN VAR t;\nWHILE x < n DO {x <= n} x := x + 1\nEND {x = n}",
+        "{n >= 0}\nx := 0;\nWHILE x < n DO {x <= n} BEGIN x := x + 1; y := 0;\n"
+        "WHILE y < x DO {y <= x} y := y + 1 END {x = n}",
+        # an equal loop on the top-level sequence does not admit the nested one
+        "{n >= 0}\nx := 0;\nWHILE x < n DO {x <= n} x := x + 1;\n"
+        "IF n > 0 THEN WHILE x < n DO {x <= n} x := x + 1 ELSE SKIP {x = n}",
+    ],
+    ids=["under-if", "in-block", "in-loop-body", "equal-to-a-spine-loop"],
+)
+def test_verify_rejects_nested_annotated_loops(capsys, tmp_path, source):
+    target = tmp_path / "nested.imp"
+    target.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == 2
+    assert out == ""
+    assert "error: loop at line 4 is nested in another statement" in err
 
 
 def test_verify_requires_annotations(capsys, programs):

@@ -1,5 +1,5 @@
 """Weakest liberal preconditions: the structural rows, the two loop
-modes, verification-condition sets, and entry contexts."""
+modes, and verification-condition sets."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from loopinv.terms import Op, Skip, Var, While
 from loopinv.wlp import (
     LocalsInPostcondition,
     UnannotatedLoop,
-    entry_context,
     top_conjuncts,
     vcs_for_loop,
     wlp,
@@ -118,25 +117,12 @@ def test_top_conjuncts_treats_implications_as_atomic():
 
 def test_vcs_for_loop_three_conditions():
     loop = prog("{n >= 0} WHILE x < n DO {x <= n /\\ y = k ^ x} BEGIN x := x + 1; y := y * k END {y = k ^ n}")
-    vcs = vcs_for_loop(e("x = 0 /\\ y = 1"), loop, e("y = k ^ n"))
-    assert vcs.establishment == e("x = 0 /\\ y = 1 => x <= n /\\ y = k ^ x")
+    prefix = prog("{n >= 0} x := 0; y := 1 {n >= 0}")
+    vcs = vcs_for_loop(e("n >= 0"), prefix, loop, e("y = k ^ n"))
+    assert vcs.establishment == e("n >= 0 => 0 <= n /\\ 1 = k ^ 0")
+    assert vcs_for_loop(e("n >= 0"), Skip(), loop, e("y = k ^ n")).establishment == Op(
+        "⇒", (e("n >= 0"), loop.invariant)
+    )
     assert pretty(vcs.preservation) == "x<n ∧ (x≤n ∧ y=k^x) ⇒ x+1≤n ∧ y*k=k^(x+1)"
     assert pretty(vcs.sufficiency) == "¬(x<n) ∧ (x≤n ∧ y=k^x) ⇒ y=k^n"
 
-
-def test_entry_context_collects_straight_line_equalities():
-    st = prog("{n >= 0} x := 0; y := 1 {n >= 0}")
-    ctx = entry_context(e("n >= 0"), st)
-    assert ctx == e("n >= 0 /\\ (x = 0 /\\ y = 1)")
-
-
-def test_entry_context_skips_equations_clobbered_later():
-    # x's first value is overwritten, so no equation for the early x.
-    st = prog("{n >= 0} x := 0; x := x + 1 {n >= 0}")
-    ctx = entry_context(e("n >= 0"), st)
-    assert ctx == e("n >= 0 /\\ x = 0 + 1") or ctx == e("n >= 0")
-
-
-def test_entry_context_bails_on_branching_prefix():
-    st = prog("{n >= 0} IF n = 0 THEN x := 1 ELSE x := 2 {n >= 0}")
-    assert entry_context(e("n >= 0"), st) == e("n >= 0")
