@@ -48,9 +48,18 @@ def _run(program: str, argv: list[str], capsys) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "program, argv, code", CASES, ids=[f"{p}-{a[0]}" for p, a, _ in CASES]
-)
+def _case_ids() -> list[str]:
+    """Name each case program-command; a repeat of that pair adds its format."""
+    ids: list[str] = []
+    for program, argv, _ in CASES:
+        case_id = f"{program}-{argv[0]}"
+        if case_id in ids:
+            case_id += "-" + _golden_file(program, argv).suffix.lstrip(".")
+        ids.append(case_id)
+    return ids
+
+
+@pytest.mark.parametrize("program, argv, code", CASES, ids=_case_ids())
 def test_corpus_output_matches_golden(program, argv, code, capsys):
     got_code, out = _run(program, argv, capsys)
     assert got_code == code
