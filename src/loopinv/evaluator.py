@@ -9,6 +9,11 @@ as ``g^g`` walked along a run builds integers of millions of digits
 before it is refuted.  Boolean connectives are short-circuit, so
 `false ∧ 1/0 = 0` evaluates to false.
 
+Expressions are compiled (Feeley & Lapalme, "Using Closures for Code
+Generation", 1987): a node's first evaluation builds a closure over its
+children's closures and keeps it in the node's instance dict, which
+dataclass ``==``, ``hash`` and ``repr`` ignore.
+
 Statement execution is pure: the input store is never mutated.  Fuel
 counts loop-body iterations only (straight-line code is free).  One
 loop node may be watched: each completed visit to it is recorded as the
@@ -19,7 +24,8 @@ trajectory collection is implemented.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .terms import Assign, Block, Case, Ctor, Expr, If, Num, Op, Seq, Skip, Stmt, Var, While
@@ -60,67 +66,101 @@ class ExecError(ExecOutcome):
     kind: str
 
 
+Compiled = Callable[[Store], int | bool]
+
+
 def eval_expr(e: Expr, store: Store) -> int | bool:
-    match e:
-        case Var(name):
-            try:
-                return store[name]
-            except KeyError:
-                raise EvalError("UnboundVar", name) from None
-        case Num(value):
-            return value
-        case Ctor(name):
-            return name == "True"
-        case Op("¬", (a,)):
-            return not eval_expr(a, store)
-        case Op("∧", (a, b)):
-            return eval_expr(a, store) and bool(eval_expr(b, store))
-        case Op("∨", (a, b)):
-            return eval_expr(a, store) or bool(eval_expr(b, store))
-        case Op("⇒", (a, b)):
-            return (not eval_expr(a, store)) or bool(eval_expr(b, store))
-        case Op(op, (a, b)):
-            x = eval_expr(a, store)
-            y = eval_expr(b, store)
-            match op:
-                case "+":
-                    return x + y
-                case "-":
-                    return max(x - y, 0)  # monus
-                case "*":
-                    v = x * y
-                    if v.bit_length() > MAX_BITS:
-                        raise EvalError("Overflow", f"* result wider than {MAX_BITS} bits")
-                    return v
-                case "/":
-                    if y == 0:
-                        raise EvalError("DivByZero", "/ by zero")
-                    return x // y
-                case "%":
-                    if y == 0:
-                        raise EvalError("DivByZero", "% by zero")
-                    return x % y
-                case "^":
-                    # x ≥ 2^(bitlen(x)-1): reject what must be too wide before computing.
-                    too_wide = (x.bit_length() - 1) * y > MAX_BITS
-                    if too_wide or (v := x**y).bit_length() > MAX_BITS:  # 0^0 = 1
-                        raise EvalError("Overflow", f"^ result wider than {MAX_BITS} bits")
-                    return v
-                case "<":
-                    return x < y
-                case ">":
-                    return x > y
-                case "≤":
-                    return x <= y
-                case "≥":
-                    return x >= y
-                case "=":
-                    return x == y
-                case "≠":
-                    return x != y
-        case Case(cond, then, other):
-            return eval_expr(then if eval_expr(cond, store) else other, store)
-    raise TypeError(f"not an Expr: {e!r}")
+    try:
+        return _compiled(e)(store)
+    except KeyError as err:  # a variable's closure looked it up in vain
+        raise EvalError("UnboundVar", err.args[0]) from None
+
+
+def _compiled(e: Expr) -> Compiled:
+    """The closure that evaluates `e`: compiled on first use from its
+    children's closures and kept in the node's instance dict."""
+    run = getattr(e, "_closure", None)
+    if run is None:
+        if type(e) not in _COMPILERS:
+            raise TypeError(f"not an Expr: {e!r}")
+        children, make = _COMPILERS[type(e)]
+        run = make(e, *map(_compiled, children(e)))
+        object.__setattr__(e, "_closure", run)  # frozen fields, writable instance dict
+    return run
+
+
+def _times(a: Compiled, b: Compiled) -> Compiled:
+    def run(s):
+        if (v := a(s) * b(s)).bit_length() > MAX_BITS:
+            raise EvalError("Overflow", f"* result wider than {MAX_BITS} bits")
+        return v
+
+    return run
+
+
+def _power(a: Compiled, b: Compiled) -> Compiled:
+    def run(s):
+        x, y = a(s), b(s)
+        # x ≥ 2^(bitlen(x)-1): reject what must be too wide before computing.
+        too_wide = (x.bit_length() - 1) * y > MAX_BITS
+        if too_wide or (v := x**y).bit_length() > MAX_BITS:  # 0^0 = 1
+            raise EvalError("Overflow", f"^ result wider than {MAX_BITS} bits")
+        return v
+
+    return run
+
+
+def _euclidean(op: str, f: Callable[[int, int], int]) -> Callable[..., Compiled]:
+    def make(a: Compiled, b: Compiled) -> Compiled:
+        def run(s):
+            x, y = a(s), b(s)
+            if y == 0:
+                raise EvalError("DivByZero", f"{op} by zero")
+            return f(x, y)
+
+        return run
+
+    return make
+
+
+# Operator → factory of its closure from the operands' closures.  Operands
+# run left to right, so the left one's error is the one raised.
+_OPS: dict[str, Callable[..., Compiled]] = {
+    "¬": lambda a: lambda s: not a(s),
+    "∧": lambda a, b: lambda s: a(s) and bool(b(s)),
+    "∨": lambda a, b: lambda s: a(s) or bool(b(s)),
+    "⇒": lambda a, b: lambda s: (not a(s)) or bool(b(s)),
+    "+": lambda a, b: lambda s: a(s) + b(s),
+    "-": lambda a, b: lambda s: max(a(s) - b(s), 0),  # monus
+    "*": _times,
+    "^": _power,
+    "/": _euclidean("/", operator.floordiv),
+    "%": _euclidean("%", operator.mod),
+    "<": lambda a, b: lambda s: a(s) < b(s),
+    ">": lambda a, b: lambda s: a(s) > b(s),
+    "≤": lambda a, b: lambda s: a(s) <= b(s),
+    "≥": lambda a, b: lambda s: a(s) >= b(s),
+    "=": lambda a, b: lambda s: a(s) == b(s),
+    "≠": lambda a, b: lambda s: a(s) != b(s),
+}
+
+
+def _const(v: object) -> Callable[[object], object]:
+    return lambda _: v
+
+
+# Node type → (its children, factory of its closure from the node and the
+# children's closures).
+_COMPILERS: dict[type, tuple[Callable, Callable[..., Compiled]]] = {
+    Var: (_const(()), lambda e: operator.itemgetter(e.name)),
+    Num: (_const(()), lambda e: _const(e.value)),
+    Ctor: (_const(()), lambda e: _const(e.name == "True")),
+    Op: (operator.attrgetter("args"), lambda e, *args: _OPS[e.op](*args)),
+    Case: (
+        operator.attrgetter("cond", "then", "other"),
+        lambda e, c, then, other: lambda s: then(s) if c(s) else other(s),
+    ),
+}
 
 
 def holds(e: Expr, store: Store) -> bool:

@@ -2,14 +2,18 @@
 and the record of visits to a watched loop.
 
 The expected stores below were computed by hand from the programs and
-frozen before the evaluator existed.
+frozen before the evaluator existed.  The compiled evaluator is also
+checked against the tree-walking interpreter it replaced, kept below as
+the oracle.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopinv import evaluator
 from loopinv.evaluator import (
+    MAX_BITS,
     EvalError,
     ExecError,
     Finished,
@@ -18,8 +22,21 @@ from loopinv.evaluator import (
     exec_stmt,
     holds,
 )
-from loopinv.parser import parse_expression, parse_program
-from loopinv.terms import While, substatements
+from loopinv.parser import parse_expression, parse_program, pretty
+from loopinv.terms import (
+    BOOL_BINOPS,
+    NAT_OPS,
+    REL_OPS,
+    Assign,
+    Case,
+    Ctor,
+    Num,
+    Op,
+    Var,
+    While,
+    substatements,
+    view,
+)
 
 
 def e(text):
@@ -85,6 +102,14 @@ def test_short_circuit_left_to_right():
     assert eval_expr(e("1 = 2 /\\ 1 / 0 = 0"), {}) is False
     assert eval_expr(e("1 = 1 \\/ 1 / 0 = 0"), {}) is True
     assert eval_expr(e("1 = 2 => 1 / 0 = 0"), {}) is True
+    assert eval_expr(e("FALSE /\\ 1 / 0 = 0"), {}) is False
+    assert eval_expr(e("TRUE \\/ 1 / 0 = 0"), {}) is True
+    # On ill-sorted operands a connective returns what decided it: the
+    # left operand as it is, or the right one made boolean.
+    cases = [("∧", 0, 5, 0), ("∧", 2, 5, True), ("∨", 5, 0, 5), ("∨", 0, 5, True)]
+    for op, left, right, value in cases + [("⇒", 0, 0, True)]:
+        got = eval_expr(Op(op, (Num(left), Num(right))), {})
+        assert (type(got), got) == (type(value), value)
 
 
 def test_holds_absorbs_errors():
@@ -225,3 +250,209 @@ def test_eval_matches_python_semantics(a, b):
         assert eval_expr(e("a / b"), store) == a // b
         assert eval_expr(e("a % b"), store) == a % b
     assert eval_expr(e("a <= b"), store) == (a <= b)
+
+
+# --- the tree-walking oracle ------------------------------------------------
+
+
+def tree_eval(e, store):
+    """The interpreter that the compiled evaluator replaced, verbatim but
+    for its name."""
+    match e:
+        case Var(name):
+            try:
+                return store[name]
+            except KeyError:
+                raise EvalError("UnboundVar", name) from None
+        case Num(value):
+            return value
+        case Ctor(name):
+            return name == "True"
+        case Op("¬", (a,)):
+            return not tree_eval(a, store)
+        case Op("∧", (a, b)):
+            return tree_eval(a, store) and bool(tree_eval(b, store))
+        case Op("∨", (a, b)):
+            return tree_eval(a, store) or bool(tree_eval(b, store))
+        case Op("⇒", (a, b)):
+            return (not tree_eval(a, store)) or bool(tree_eval(b, store))
+        case Op(op, (a, b)):
+            x = tree_eval(a, store)
+            y = tree_eval(b, store)
+            match op:
+                case "+":
+                    return x + y
+                case "-":
+                    return max(x - y, 0)  # monus
+                case "*":
+                    v = x * y
+                    if v.bit_length() > MAX_BITS:
+                        raise EvalError("Overflow", f"* result wider than {MAX_BITS} bits")
+                    return v
+                case "/":
+                    if y == 0:
+                        raise EvalError("DivByZero", "/ by zero")
+                    return x // y
+                case "%":
+                    if y == 0:
+                        raise EvalError("DivByZero", "% by zero")
+                    return x % y
+                case "^":
+                    # x ≥ 2^(bitlen(x)-1): reject what must be too wide before computing.
+                    too_wide = (x.bit_length() - 1) * y > MAX_BITS
+                    if too_wide or (v := x**y).bit_length() > MAX_BITS:  # 0^0 = 1
+                        raise EvalError("Overflow", f"^ result wider than {MAX_BITS} bits")
+                    return v
+                case "<":
+                    return x < y
+                case ">":
+                    return x > y
+                case "≤":
+                    return x <= y
+                case "≥":
+                    return x >= y
+                case "=":
+                    return x == y
+                case "≠":
+                    return x != y
+        case Case(cond, then, other):
+            return tree_eval(then if tree_eval(cond, store) else other, store)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def tree_holds(e, store):
+    try:
+        v = tree_eval(e, store)
+    except EvalError:
+        return False
+    if not isinstance(v, bool):
+        raise ValueError(f"holds() needs a boolean expression, got value {v!r}")
+    return v
+
+
+def outcome(f, e, store):
+    """(type, value) of a result, since True == 1, or the error raised."""
+    try:
+        v = f(e, store)
+    except EvalError as err:
+        return "EvalError", err.kind, err.detail
+    except ValueError as err:
+        return "ValueError", str(err)
+    return type(v), v
+
+
+NAMES = ("x", "y", "z")
+# Mostly small, so that most draws evaluate without error, and a few at
+# the cap: 2^4095 has 4,096 bits, and 2^4096 one more.
+numbers = st.sampled_from((0, 1, 2, 3, 4, 5, 6, 7, 2**4095, 2**4096))
+bool_leaves = st.sampled_from([Ctor("True"), Ctor("False")])
+nat_leaves = st.one_of(st.sampled_from(NAMES).map(Var), numbers.map(Num))
+
+
+def binary(ops, left, right):
+    return st.builds(lambda op, a, b: Op(op, (a, b)), st.sampled_from(ops), left, right)
+
+
+# Ill-sorted as often as not: any operator over any operands.
+any_exprs = st.recursive(
+    nat_leaves | bool_leaves,
+    lambda kids: kids.map(lambda a: Op("¬", (a,)))
+    | binary(NAT_OPS + REL_OPS + BOOL_BINOPS, kids, kids)
+    | st.builds(Case, kids, kids, kids),
+    max_leaves=12,
+)
+# Well-sorted naturals, with relations as the conditions of their cases,
+# and well-sorted formulas over them.
+nat_exprs = st.recursive(
+    nat_leaves,
+    lambda kids: binary(NAT_OPS, kids, kids)
+    | st.builds(Case, binary(REL_OPS, kids, kids), kids, kids),
+    max_leaves=8,
+)
+formulas = st.recursive(
+    bool_leaves | binary(REL_OPS, nat_exprs, nat_exprs),
+    lambda kids: kids.map(lambda a: Op("¬", (a,))) | binary(BOOL_BINOPS, kids, kids),
+    max_leaves=4,
+)
+# Every variable bound, or only some.
+store_draws = st.fixed_dictionaries(dict.fromkeys(NAMES, numbers)) | st.dictionaries(
+    st.sampled_from(NAMES), numbers
+)
+
+
+def subterms(e):
+    yield e
+    if not isinstance(e, Var):
+        for kid in view(e)[1]:
+            yield from subterms(kid)
+
+
+def agree(expr, store):
+    # Subterms run after the whole, from the closures that it compiled.
+    for sub in subterms(expr):
+        assert outcome(eval_expr, sub, store) == outcome(tree_eval, sub, store)
+        assert outcome(holds, sub, store) == outcome(tree_holds, sub, store)
+
+
+@settings(max_examples=300)
+@given(any_exprs, store_draws)
+def test_compiled_evaluation_matches_the_tree_walker(expr, store):
+    agree(expr, store)
+
+
+@settings(max_examples=200)
+@given(nat_exprs | formulas, store_draws)
+def test_compiled_evaluation_matches_the_tree_walker_when_well_sorted(expr, store):
+    agree(expr, store)
+
+
+# --- evaluation order and short-circuiting ------------------------------------
+
+
+def test_operands_evaluate_left_to_right():
+    # The left operand's error is the one raised.
+    for text, kind in (("1 / 0 + 2 ^ 5000", "DivByZero"), ("2 ^ 5000 + 1 / 0", "Overflow")):
+        with pytest.raises(EvalError) as err:
+            eval_expr(e(text), {})
+        assert err.value.kind == kind
+
+
+def test_case_with_a_failing_condition_raises():
+    case = Case(e("x / 0 = 1"), Num(1), Num(2))
+    with pytest.raises(EvalError) as err:
+        eval_expr(case, {"x": 1})
+    assert err.value.kind == "DivByZero"
+    assert holds(Op("=", (case, Num(1))), {"x": 1}) is False
+
+
+def test_only_expressions_evaluate():
+    with pytest.raises(TypeError):
+        eval_expr(Assign("x", Num(1)), {})
+    with pytest.raises(TypeError):
+        eval_expr(3, {})
+
+
+# --- the per-node cache -----------------------------------------------------
+
+
+def test_the_cache_is_invisible():
+    text = "x % 2 = 1 /\\ y * k ^ n >= x - 1"
+    node, twin = e(text), e(text)
+    before = (hash(node), repr(node), pretty(node))
+    store = {"x": 3, "y": 2, "k": 2, "n": 1}
+    assert eval_expr(node, store) is True
+    assert (hash(node), repr(node), pretty(node)) == before
+    assert node == twin and hash(node) == hash(twin) and repr(node) == repr(twin)
+    # The equal node built separately, not evaluated until now, agrees.
+    assert eval_expr(twin, store) is True
+
+
+def test_a_node_compiles_once_and_shares_its_children(monkeypatch):
+    made = []
+    plus = evaluator._OPS["+"]
+    monkeypatch.setitem(evaluator._OPS, "+", lambda a, b: made.append(1) or plus(a, b))
+    shared = e("x + 1")
+    node = Op("*", (shared, shared))
+    assert [eval_expr(node, {"x": x}) for x in range(3)] == [1, 4, 9]
+    assert eval_expr(shared, {"x": 5}) == 6
+    assert len(made) == 1
