@@ -37,10 +37,13 @@ When the conjuncts pin the next value, or admit none, the error
 rejects the candidate.  The admitted values are computed by inverting
 an equation through ``+`` and ``*`` along the one occurrence of the
 variable; for any other shape the rule cannot tell and the error
-truncates, as it always did.  The search, its conditional-step
-prefilter and ``check_requirements`` all apply this one rule.  A step
-must still validate at least one transition somewhere when transitions
-exist, so perpetually-erroring junk like v/0 still loses.
+truncates, as it always did.  That shape analysis is done once per
+conjunct and variable and kept on the conjunct's node, so a failing
+step costs only the evaluation of the operands it names.  The search,
+its conditional-step prefilter and ``check_requirements`` all apply
+this one rule.  A step must still validate at least one transition
+somewhere when transitions exist, so perpetually-erroring junk like v/0
+still loses.
 
 Before any search, each single-variable component is tested for a
 witness that cannot exist: an entry store where the invariant admits no
@@ -378,11 +381,17 @@ def _occurrences(e: Expr, g: str) -> int:
     return sum(_occurrences(a, g) for a in view(e)[1])
 
 
-def _solve_for(c: Expr, g: str, env: Store) -> int | None:
-    """The values of `g` that make the conjunct `c` hold at `env`: one
-    natural, _ANY (every natural) or _NONE.  None when this cannot tell:
-    `c` is not an equation with `g` once on one side under + and * only,
-    or the rest of it does not evaluate at `env`."""
+Inversion = tuple[Expr, tuple[tuple[str, Expr], ...], bool]
+
+
+def _inversion(c: Expr, g: str) -> Inversion | None:
+    """How to solve the conjunct `c` for `g`: (other, path, exact).
+    Evaluate `other`, the side without `g`, then undo each (operator,
+    other operand) of `path`, the walk from the root of the side holding
+    `g` down towards `g`.  The walk stops at `g` (`exact`) or at the
+    first node that is not + or *, where the inversion cannot tell.  None
+    unless `c` is an equation with `g` once on one side and not on the
+    other."""
     if not (isinstance(c, Op) and c.op == "="):
         return None
     side, other = c.args
@@ -390,14 +399,43 @@ def _solve_for(c: Expr, g: str, env: Store) -> int | None:
         side, other = other, side
     if _occurrences(side, g) != 1 or g in free_vars(other):
         return None
+    path = []
+    while side != Var(g):
+        if not (isinstance(side, Op) and side.op in ("+", "*")):
+            return other, tuple(path), False
+        op, (a, b) = side.op, side.args
+        side, rest = (a, b) if g in free_vars(a) else (b, a)
+        path.append((op, rest))
+    return other, tuple(path), True
+
+
+def _plan(c: Expr, g: str) -> tuple[bool, Inversion | None]:
+    """Whether the conjunct `c` mentions `g`, and its `_inversion` for
+    `g`: worked out on first use and kept in c's instance dict, since the
+    step search asks for them on every store where a step fails."""
+    plans = getattr(c, "_plans", None)
+    if plans is None:
+        plans = {}
+        object.__setattr__(c, "_plans", plans)  # frozen fields, writable instance dict
+    plan = plans.get(g)
+    if plan is None:
+        plan = plans[g] = (g in free_vars(c), _inversion(c, g))
+    return plan
+
+
+def _solve_for(c: Expr, g: str, env: Store) -> int | None:
+    """The values of `g` that make the conjunct `c` hold at `env`: one
+    natural, _ANY (every natural) or _NONE.  None when this cannot tell:
+    `c` is not an equation with `g` once on one side under + and * only,
+    or the rest of it does not evaluate at `env`.  A shape outside + and
+    * still gives _NONE or _ANY when the operands above it already do."""
+    inversion = _plan(c, g)[1]
+    if inversion is None:
+        return None
+    other, path, exact = inversion
     try:
         target = eval_expr(other, env)
-        while side != Var(g):
-            if not (isinstance(side, Op) and side.op in ("+", "*")):
-                return None
-            op = side.op
-            a, b = side.args
-            side, rest = (a, b) if g in free_vars(a) else (b, a)
+        for op, rest in path:
             r = eval_expr(rest, env)
             if op == "+":
                 if target < r:
@@ -411,7 +449,7 @@ def _solve_for(c: Expr, g: str, env: Store) -> int | None:
                 target //= r
     except EvalError:
         return None
-    return target
+    return target if exact else None
 
 
 def _admitted(conjuncts: list[Expr], g: str, env: Store) -> int | None:
@@ -420,7 +458,7 @@ def _admitted(conjuncts: list[Expr], g: str, env: Store) -> int | None:
     the others leave more than one value."""
     result, unknown = _ANY, False
     for c in conjuncts:
-        if g not in free_vars(c):
+        if not _plan(c, g)[0]:
             continue
         v = _solve_for(c, g, env)
         if v is None:
@@ -432,19 +470,12 @@ def _admitted(conjuncts: list[Expr], g: str, env: Store) -> int | None:
     return None if unknown and result == _ANY else result
 
 
-def _excused(step: dict[str, Expr], env_pre: Store, post: Store, conjuncts: list[Expr]) -> bool:
-    """Whether a step that failed to evaluate at `env_pre` may truncate
-    the run: at `post` the conjuncts leave the next value of every
+def _excused(failed: list[str], env_post: Store, conjuncts: list[Expr]) -> bool:
+    """Whether a step whose variables `failed` did not evaluate may
+    truncate the run: at `env_post` (the post-store with the other
+    variables' next values) the conjuncts leave the next value of every
     failing variable undetermined, or cannot tell.  Otherwise the error
     rejects the candidate."""
-    values: dict[str, int] = {}
-    failed: list[str] = []
-    for g, e in step.items():
-        try:
-            values[g] = eval_expr(e, env_pre)
-        except EvalError:
-            failed.append(g)
-    env_post = {**post, **values}
     return all(_admitted(conjuncts, g, env_post) in (_ANY, None) for g in failed)
 
 
@@ -537,15 +568,20 @@ def _iterate(
     `_excused` does not allow, or conjuncts failing at the post-store;
     (True, None) when a step error truncates the run; otherwise (True,
     the variables' next values)."""
-    try:
-        gvals = {g: eval_expr(e, env_pre) for g, e in step.items()}
-    except EvalError:
-        if not _excused(step, env_pre, post, conjuncts):
+    gvals: dict[str, int] = {}
+    failed: list[str] = []
+    for g, e in step.items():
+        try:
+            gvals[g] = eval_expr(e, env_pre)
+        except EvalError:
+            failed.append(g)
+    env_post = {**post, **gvals}
+    if failed:
+        if not _excused(failed, env_post, conjuncts):
             stats.eval_rejections += 1
             return False, None
         stats.step_truncations += 1
         return True, None
-    env_post = {**post, **gvals}
     stats.stores_tested += 1
     return all(holds(c, env_post) for c in conjuncts), gvals
 

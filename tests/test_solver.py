@@ -4,9 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopinv.engine import annotate_program
-from loopinv.evaluator import eval_expr
+from loopinv.evaluator import EvalError, eval_expr
 from loopinv.parser import parse_expression, parse_program, pretty
 from loopinv.solver import (
     Assignment,
@@ -18,6 +20,7 @@ from loopinv.solver import (
     _ANY,
     _NONE,
     _coarsen,
+    _iterate,
     _pool,
     _entry_counterexample,
     _solve_for,
@@ -31,7 +34,7 @@ from loopinv.solver import (
     solve,
 )
 from loopinv import solver
-from loopinv.terms import Case, Num, Op, Var, While
+from loopinv.terms import Case, Num, Op, Var, While, free_vars, view
 from loopinv.wlp import top_conjuncts
 
 
@@ -397,6 +400,175 @@ def test_solve_for_inverts_plus_and_times():
     assert _solve_for(e("g * g = n"), "g", env) is None
     assert _solve_for(e("g * g = n"), "g", {**env, "g": 3}) is None
     assert _solve_for(e("x + g <= n"), "g", env) is None
+    # Operands above an unsupported shape can already rule every value
+    # out, or in; an operand that fails to evaluate cannot tell.
+    assert _solve_for(e("(g - 1) + 5 = 2"), "g", env) == _NONE
+    assert _solve_for(e("(g - 1) * 0 = 3"), "g", env) == _NONE
+    assert _solve_for(e("(g - 1) + 1 = 3"), "g", env) is None
+    assert _solve_for(e("g + 1 / x = 3"), "g", {**env, "x": 0}) is None
+
+
+def uncached_solve_for(c, g, env):
+    """The equation solver before inversion plans, kept verbatim (helper
+    included) as the oracle: it re-derives the equation's shape on every
+    call."""
+
+    def _occurrences(e, g):
+        if isinstance(e, Var):
+            return int(e.name == g)
+        return sum(_occurrences(a, g) for a in view(e)[1])
+
+    if not (isinstance(c, Op) and c.op == "="):
+        return None
+    side, other = c.args
+    if g not in free_vars(side):
+        side, other = other, side
+    if _occurrences(side, g) != 1 or g in free_vars(other):
+        return None
+    try:
+        target = eval_expr(other, env)
+        while side != Var(g):
+            if not (isinstance(side, Op) and side.op in ("+", "*")):
+                return None
+            op = side.op
+            a, b = side.args
+            side, rest = (a, b) if g in free_vars(a) else (b, a)
+            r = eval_expr(rest, env)
+            if op == "+":
+                if target < r:
+                    return _NONE
+                target -= r
+            elif r == 0:
+                return _ANY if target == 0 else _NONE
+            elif target % r:
+                return _NONE
+            else:
+                target //= r
+    except EvalError:
+        return None
+    return target
+
+
+def _subterms(t):
+    yield t
+    if not isinstance(t, Var):
+        for kid in view(t)[1]:
+            yield from _subterms(kid)
+
+
+def _g_count(t):
+    return sum(s == Var("g") for s in _subterms(t))
+
+
+def _binary(ops, left, right):
+    return st.builds(lambda op, a, b: Op(op, (a, b)), ops, left, right)
+
+
+# Terms over + - * / ^, with + and * drawn more often.  `closed` terms
+# have no g; a chain has g once, under operators whose other operands are
+# closed, so that most equations between the two can be inverted.
+_ops = st.sampled_from(["+", "*", "+", "*", "-", "/", "^"])
+_atoms = st.sampled_from([Num(0), Num(1), Num(2), Num(3), Var("x"), Var("y"), Var("z")])
+closed = st.recursive(_atoms, lambda kids: _binary(_ops, kids, kids), max_leaves=3)
+chains = st.recursive(
+    st.just(Var("g")),
+    lambda kids: _binary(_ops, kids, closed) | _binary(_ops, closed, kids),
+    max_leaves=4,
+)
+sides = (
+    closed
+    | chains
+    | st.recursive(_atoms | st.just(Var("g")), lambda kids: _binary(_ops, kids, kids), max_leaves=6)
+    .filter(lambda t: _g_count(t) <= 2)
+)
+stores = st.fixed_dictionaries(
+    {"x": st.integers(0, 4), "y": st.integers(0, 4)},
+    optional={"z": st.integers(0, 4), "g": st.integers(0, 4)},
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.tuples(chains, closed) | st.tuples(closed, chains) | st.tuples(sides, sides),
+    st.sampled_from(["=", "=", "=", "≤"]),
+    st.lists(stores, min_size=1, max_size=4),
+)
+def test_solve_for_matches_the_uncached_solver(args, rel, envs):
+    # Stores may miss a variable and hold zero divisors; each plan is used
+    # again on every store after the first, and twice on each.
+    c = Op(rel, args)
+    for env in envs:
+        expected = uncached_solve_for(c, "g", env)
+        assert _solve_for(c, "g", env) == expected
+        assert _solve_for(c, "g", env) == expected
+
+
+def test_inversion_plans_are_cached_on_the_conjunct(monkeypatch):
+    c, twin = e("x + g * y = n"), e("x + g * y = n")
+    before = (hash(c), repr(c))
+    assert _solve_for(c, "g", {"x": 1, "y": 2, "n": 7}) == 3
+    walked = []
+    monkeypatch.setattr(solver, "free_vars", lambda t: walked.append(t) or free_vars(t))
+    assert _solve_for(c, "g", {"x": 1, "y": 0, "n": 1}) == _ANY
+    assert _solve_for(c, "g", {"x": 9, "y": 1, "n": 7}) == _NONE
+    assert walked == []
+    assert _solve_for(c, "x", {"g": 1, "y": 2, "n": 7}) == 5  # another variable, another plan
+    assert walked
+    assert (hash(c), repr(c)) == before and c == twin
+
+
+def test_iterate_with_one_of_two_step_variables_failing(monkeypatch):
+    # b / z fails at z = 0; a + 1 evaluates, and y*b = k*a sees its next
+    # value.  The step is evaluated once per variable, errors included.
+    conjuncts = [e("x = a"), e("y * b = k * a")]
+    step = {"a": e("a + 1"), "b": e("b / z")}
+    env_pre = {"x": 0, "y": 0, "k": 0, "z": 0, "a": 0, "b": 1}
+    evaluated = []
+    monkeypatch.setattr(solver, "eval_expr", lambda t, s: evaluated.append(t) or eval_expr(t, s))
+
+    # y = 0 and k*a = 0 leave b's next value free: the run is truncated.
+    stats = SolveStats()
+    post = {"x": 1, "y": 0, "k": 0, "z": 0}
+    assert _iterate(conjuncts, step, env_pre, post, stats) == (True, None)
+    assert stats == SolveStats(step_truncations=1)
+    assert [t for t in evaluated if t in step.values()] == list(step.values())
+
+    # y = 1 and k*a = 2*1 pin b to 2: the error rejects the step.
+    stats = SolveStats()
+    post = {"x": 1, "y": 1, "k": 2, "z": 0}
+    assert _iterate(conjuncts, step, env_pre, post, stats) == (False, None)
+    assert stats == SolveStats(eval_rejections=1)
+
+
+SQUARE_OF_ODDS = """{n >= 0}
+x := 0;
+y := 0;
+WHILE x < n DO
+BEGIN
+  y := y + 2 * x + 1;
+  x := x + 1
+END
+{y = n * n}"""
+
+
+def test_square_of_odds_search_effort_at_bound_3():
+    """The coarsened square-of-odds invariant at bound 3, the setting the
+    search-deep benchmark runs it under and where it takes most of that
+    workload's time: the whole search effort is pinned, so that a faster
+    search is seen to do the same work."""
+    annotated, d = discovered(SQUARE_OF_ODDS)
+    cfg = SolverConfig(domain_bound=3)
+    report = solve(annotated, d.node, d.putative, d.genvars, d.post, cfg)
+    assert report.stats == SolveStats(
+        candidates_tried=138719,
+        stores_tested=106894,
+        eval_rejections=33606,
+        step_truncations=0,
+        runs_collected=4,
+        runs_skipped=0,
+    )
+    assert pretty(report.assignment.step["g4"]) == "g4-1-(x+x)"
+    assert report.verdict == VerifiedUpToBound(3)
 
 
 def test_coarsen_abstracts_smallest_enclosing_subterm():
