@@ -8,20 +8,20 @@ Three modes over a program file (or ``-`` for stdin):
   invariant, the invariant reported is the one witnessed and the
   derived one is shown beside it;
 * ``verify`` — for a program whose loops already carry ``{invariant}``
-  annotations, check the classical conditions by bounded enumeration:
-  the global condition pre ⇒ wlp(program, post) plus, for each loop on
-  the top-level statement sequence, establishment pre ⇒ wlp(prefix, I),
-  preservation and sufficiency;
+  annotations, check the classical conditions that ``wlp`` generates by
+  bounded enumeration: the global condition pre ⇒ wlp(program, post),
+  which carries the first loops' establishment, plus each loop's
+  preservation and exit conditions, at any nesting depth; a failing
+  condition names the loops whose invariant it establishes;
 * ``trace`` — print the numbered sequence of approximations the
   discovery engine walked through for each loop.
 
 Exit codes: 0 all checks passed; 1 a bounded check found a
 counterexample; 2 discovery or witness search failed, or the input was
 rejected before checking (for ``verify``: a loop without an invariant,
-an invariant over unbound variables, or an annotated loop nested inside
-another statement); 3 the command line was malformed, the program did
-not parse or sort-check, a bound or the iteration budget was below 1,
-or the input nests too deeply to analyse.
+or an invariant over unbound variables); 3 the command line was
+malformed, the program did not parse or sort-check, a bound or the
+iteration budget was below 1, or the input nests too deeply to analyse.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .solver import (
     diagnose_lost_variables,
     solve,
 )
-from .terms import Expr, Op, Seq, Skip, Stmt, Triple, While, free_vars, program_vars, substatements
-from .wlp import WlpError, vcs_for_loop, wlp
+from .terms import Expr, Triple, While, free_vars, program_vars, substatements
+from .wlp import WlpError, verification_conditions
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -240,23 +240,6 @@ def _discover(triple: Triple, args: argparse.Namespace) -> int:
     return code
 
 
-def _flatten(st: Stmt) -> list[Stmt]:
-    match st:
-        case Seq(a, b):
-            return _flatten(a) + _flatten(b)
-        case _:
-            return [st]
-
-
-def _reseq(stmts: list[Stmt]) -> Stmt:
-    if not stmts:
-        return Skip()
-    out = stmts[-1]
-    for st in reversed(stmts[:-1]):
-        out = Seq(st, out)
-    return out
-
-
 def _counterexample(formula: Expr, bound: int) -> dict[str, int] | None:
     for store in stores(sorted(free_vars(formula)), bound):
         if not holds(formula, store):
@@ -266,20 +249,13 @@ def _counterexample(formula: Expr, bound: int) -> dict[str, int] | None:
 
 def _verify(triple: Triple, args: argparse.Namespace) -> int:
     known = program_vars(triple)
-    flat = _flatten(triple.program)
-    for loop in (st for st in substatements(triple.program) if isinstance(st, While)):
+    loops = [st for st in substatements(triple.program) if isinstance(st, While)]
+    for loop in loops:
         where = f"line {loop.line}" if loop.line is not None else "unknown line"
         if loop.invariant is None:
             print(
                 f"error: loop at {where} has no {{invariant}} annotation; "
                 "run discover first",
-                file=sys.stderr,
-            )
-            return EXIT_NO_INVARIANT
-        if not any(loop is st for st in flat):  # by identity: equal loops may sit elsewhere
-            print(
-                f"error: loop at {where} is nested in another statement; verify "
-                "checks only loops on the program's top-level sequence",
                 file=sys.stderr,
             )
             return EXIT_NO_INVARIANT
@@ -293,52 +269,45 @@ def _verify(triple: Triple, args: argparse.Namespace) -> int:
             )
             return EXIT_NO_INVARIANT
     try:
-        condition = Op("⇒", (triple.pre, wlp(triple.program, triple.post, "invariant")))
+        conditions = verification_conditions(triple)
     except WlpError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_INVARIANT
 
-    report: dict = {"bound": args.bound, "global": None, "loops": []}
+    # One entry per loop node, in source order; equal loops stay apart.
+    entries = {id(loop): {"location": loop.line, "conditions": {}} for loop in loops}
+    report: dict = {"bound": args.bound, "global": None, "loops": list(entries.values())}
     code = EXIT_OK
-    ce = _counterexample(condition, args.bound)
-    report["global"] = {"holds": ce is None, "counterexample": ce}
-    if ce is not None:
-        code = EXIT_REFUTED
-
-    for i, st in enumerate(flat):
-        if not isinstance(st, While):
-            continue
-        loop_post = wlp(_reseq(flat[i + 1 :]), triple.post, "invariant")
-        vcs = vcs_for_loop(triple.pre, _reseq(flat[:i]), st, loop_post)
-        entry: dict = {"location": st.line, "conditions": {}}
-        for name, formula in (
-            ("establishment", vcs.establishment),
-            ("preservation", vcs.preservation),
-            ("sufficiency", vcs.sufficiency),
-        ):
-            ce = _counterexample(formula, args.bound)
-            entry["conditions"][name] = {"holds": ce is None, "counterexample": ce}
-            if ce is not None:
-                code = EXIT_REFUTED
-        report["loops"].append(entry)
+    for vc in conditions:
+        ce = _counterexample(vc.formula, args.bound)
+        result = {
+            "holds": ce is None,
+            "counterexample": ce,
+            "establishes": sorted({loop.line for loop in vc.establishes}),
+        }
+        if vc.loop is None:
+            report["global"] = result
+        else:
+            entries[id(vc.loop)]["conditions"][vc.kind] = result
+        if ce is not None:
+            code = EXIT_REFUTED
 
     if args.format == "json":
         print(json.dumps(report, ensure_ascii=False, indent=2))
         return code
-    g = report["global"]
-    if g["holds"]:
-        print(f"global condition: holds on all stores with values <= {args.bound}")
-    else:
-        ce = " ".join(f"{k}={v}" for k, v in sorted(g["counterexample"].items()))
-        print(f"global condition: fails at {ce}")
-    for entry in report["loops"]:
-        where = entry["location"]
-        for name, res in entry["conditions"].items():
-            if res["holds"]:
-                print(f"loop at line {where}: {name} holds")
-            else:
-                ce = " ".join(f"{k}={v}" for k, v in sorted(res["counterexample"].items()))
-                print(f"loop at line {where}: {name} fails at {ce}")
+    named = [("global condition:", report["global"])] + [
+        (f"loop at line {entry['location']}: {kind}", res)
+        for entry in report["loops"]
+        for kind, res in entry["conditions"].items()
+    ]
+    for name, res in named:
+        if res["holds"]:
+            held = f" on all stores with values <= {args.bound}" if res is report["global"] else ""
+            print(f"{name} holds{held}")
+            continue
+        ce = " ".join(f"{k}={v}" for k, v in sorted(res["counterexample"].items()))
+        carried = ", ".join(f"the loop at line {n}" for n in res["establishes"])
+        print(f"{name} fails at {ce}" + (f" (establishes {carried})" if carried else ""))
     return code
 
 

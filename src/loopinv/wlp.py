@@ -5,8 +5,12 @@ substitution and never simplifies.  Two treatments of loops are
 available:
 
 * ``loop_mode="invariant"`` — the classical annotated-loop rule: the
-  loop must carry an invariant I and contributes
-  ``I ∧ ((B ∧ I) ⇒ wlp(body, I)) ∧ ((¬B ∧ I) ⇒ Q)``.
+  loop must carry an invariant I and contributes just I.  Its two
+  obligations must hold on every store, not only where the loop
+  starts: preservation ``(B ∧ I) ⇒ wlp(body, I)`` and exit
+  ``(¬B ∧ I) ⇒ Q``.  ``verification_conditions`` returns the global
+  condition ``pre ⇒ wlp(program, post)`` and the obligations of every
+  loop, at any depth.
 
 * ``loop_mode="substitute"`` — an annotated loop postcondition of the
   shape ``v = rhs`` acts as an assignment summary: the loop contributes
@@ -31,10 +35,10 @@ from .terms import (
     Seq,
     Skip,
     Stmt,
+    Triple,
     Var,
     While,
     assigned_vars,
-    conjoin,
     free_vars,
     substitute,
 )
@@ -55,49 +59,76 @@ class LocalsInPostcondition(WlpError):
 LOOP_MODES = ("invariant", "substitute")
 
 
+@dataclass(frozen=True)
+class Obligation:
+    """One verification condition, with the loops whose invariant its
+    consequent carries: for preservation the loop itself (unless its
+    body starts with a loop), for exit the loops that come first after
+    it, and for the global condition the program's first loops."""
+
+    loop: While | None  # None for the global condition
+    kind: str  # "global", "preservation" or "exit"
+    formula: Expr
+    establishes: tuple[While, ...]
+
+
 def wlp(st: Stmt, q: Expr, loop_mode: str = "invariant") -> Expr:
     """Weakest liberal precondition of `st` for postcondition `q`."""
     if loop_mode not in LOOP_MODES:
         raise ValueError(f"loop_mode must be one of {LOOP_MODES}")
+    return _wlp(st, q, (), loop_mode, None)[0]
+
+
+def verification_conditions(t: Triple) -> list[Obligation]:
+    """The global condition pre ⇒ wlp(program, post), then the
+    preservation and exit obligations of every loop in the program."""
+    side: list[Obligation] = []
+    pulled, carried = _wlp(t.program, t.post, (), "invariant", side)
+    return [Obligation(None, "global", Op("⇒", (t.pre, pulled)), carried), *side]
+
+
+def _wlp(
+    st: Stmt, q: Expr, carried: tuple[While, ...], loop_mode: str, side: list[Obligation] | None
+) -> tuple[Expr, tuple[While, ...]]:
+    """wlp, and the loops whose invariant it carries, given those that
+    `q` carries; with a `side` list, each loop appends its obligations."""
     match st:
         case Skip():
-            return q
+            return q, carried
         case Assign(var, rhs):
-            return substitute(q, {var: rhs})
+            return substitute(q, {var: rhs}), carried
         case Seq(a, b):
-            return wlp(a, wlp(b, q, loop_mode), loop_mode)
+            return _wlp(a, *_wlp(b, q, carried, loop_mode, side), loop_mode, side)
         case If(cond, t, e):
-            return Op(
-                "∧",
-                (
-                    Op("⇒", (cond, wlp(t, q, loop_mode))),
-                    Op("⇒", (Op("¬", (cond,)), wlp(e, q, loop_mode))),
-                ),
-            )
+            pt, ct = _wlp(t, q, carried, loop_mode, side)
+            pe, ce = _wlp(e, q, carried, loop_mode, side)
+            both = Op("∧", (Op("⇒", (cond, pt)), Op("⇒", (Op("¬", (cond,)), pe))))
+            return both, ct + tuple(c for c in ce if not any(c is d for d in ct))
         case Block(locs, body):
             clash = set(locs) & free_vars(q)
             if clash:
                 raise LocalsInPostcondition(
                     f"block locals {sorted(clash)} occur in the postcondition"
                 )
-            return wlp(body, q, loop_mode)
+            return _wlp(body, q, carried, loop_mode, side)
         case While(cond, body, invariant, post):
             if loop_mode == "substitute" and post is not None:
                 summary = _summary_substitution(post, body, q)
                 if summary is not None:
-                    return substitute(q, summary)
+                    return substitute(q, summary), carried
             if invariant is None:
                 raise UnannotatedLoop(
                     "loop has no invariant"
                     + (" and its postcondition is not usable as a summary" if post is not None else "")
                 )
-            return conjoin(
-                [
-                    invariant,
-                    Op("⇒", (Op("∧", (cond, invariant)), wlp(body, invariant, loop_mode))),
-                    Op("⇒", (Op("∧", (Op("¬", (cond,)), invariant)), q)),
-                ]
-            )
+            if side is not None:
+                kept, by_body = _wlp(body, invariant, (st,), loop_mode, side)
+                side.append(
+                    Obligation(st, "preservation", Op("⇒", (Op("∧", (cond, invariant)), kept)), by_body)
+                )
+                exit_ = Op("⇒", (Op("∧", (Op("¬", (cond,)), invariant)), q))
+                side.append(Obligation(st, "exit", exit_, carried))
+            return invariant, (st,)
         case _:
             raise TypeError(f"not a Stmt: {st!r}")
 
@@ -126,29 +157,3 @@ def top_conjuncts(p: Expr) -> list[Expr]:
             return top_conjuncts(a) + top_conjuncts(b)
         case _:
             return [p]
-
-
-@dataclass(frozen=True)
-class VCSet:
-    """The three proof obligations for one annotated loop."""
-
-    establishment: Expr  # the precondition implies the invariant after the prefix
-    preservation: Expr  # the invariant survives one body iteration
-    sufficiency: Expr  # invariant plus exit condition implies the post
-
-
-def vcs_for_loop(pre: Expr, prefix: Stmt, loop: While, post: Expr) -> VCSet:
-    """Verification conditions for an invariant-annotated loop.
-
-    `pre` holds before `prefix`, the statements that run up to the loop
-    (``Skip()`` when there are none), so establishment is
-    pre ⇒ wlp(prefix, I); `post` is what must hold after the loop exits.
-    """
-    if loop.invariant is None:
-        raise UnannotatedLoop("cannot build VCs without an invariant")
-    inv = loop.invariant
-    return VCSet(
-        establishment=Op("⇒", (pre, wlp(prefix, inv))),
-        preservation=Op("⇒", (Op("∧", (loop.cond, inv)), wlp(loop.body, inv))),
-        sufficiency=Op("⇒", (Op("∧", (Op("¬", (loop.cond,)), inv)), post)),
-    )

@@ -43,7 +43,7 @@ from loopinv.terms import (
     renaming_of,
     substitute,
 )
-from loopinv.wlp import vcs_for_loop, wlp
+from loopinv.wlp import verification_conditions, wlp
 
 
 def e(text):
@@ -404,10 +404,10 @@ def test_criterion_10_annotated_loop_conditions_hold(programs):
     loop = triple.program.second.second
     assert isinstance(loop, While) and loop.invariant is not None
 
-    prefix = Seq(triple.program.first, triple.program.second.first)
-    vcs = vcs_for_loop(triple.pre, prefix, loop, triple.post)
+    conditions = verification_conditions(triple)
+    assert [vc.kind for vc in conditions] == ["global", "preservation", "exit"]
     conditions_hold = True
-    for formula in (vcs.establishment, vcs.preservation, vcs.sufficiency):
+    for formula in (vc.formula for vc in conditions):
         names = sorted(free_vars(formula))
         for values in itertools.product(range(7), repeat=len(names)):
             if not holds(formula, dict(zip(names, values))):

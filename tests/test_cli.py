@@ -22,6 +22,34 @@ END
 
 COUNT_UP = "{n >= 0} x := 0; WHILE x < n DO x := x + 1 {x = n}"
 
+# exp_nested with closed invariants.  The inner one must carry the outer
+# facts it relies on: nothing else of the outer loop is known inside.
+NESTED_ANNOTATED = """{n >= 0}
+x := 0;
+y := 1;
+WHILE x < n DO
+{x <= n /\\ y = k ^ x}
+BEGIN
+  z := 0;
+  v := 0;
+  WHILE z < k DO
+  {z <= k /\\ v = y * z /\\ x < n /\\ y = k ^ x}
+  BEGIN
+    z := z + 1;
+    v := v + y
+  END;
+  x := x + 1;
+  y := v
+END
+{y = k ^ n}"""
+
+# A later loop's invariant (x = 0) is false after the first loop for
+# n >= 1; that shows as the first loop's exit failing.
+LOOP_AFTER_LOOP = (
+    "{n >= 0}\nx := 0;\nWHILE x < n DO {x <= n}\n  x := x + 1;\ny := 0;\n"
+    "WHILE y < x DO {y <= x /\\ x = 0}\n  y := y + 1\n{y = x}"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -135,7 +163,7 @@ def test_verify_annotated_program(capsys, programs):
     code, out, _ = run(capsys, "verify", str(programs / "exp_simple_annotated.imp"))
     assert code == 0
     assert "global condition: holds on all stores with values <= 6" in out
-    for name in ("establishment", "preservation", "sufficiency"):
+    for name in ("preservation", "exit"):
         assert f"loop at line 6: {name} holds" in out
 
 
@@ -144,9 +172,9 @@ def test_verify_reports_counterexamples(capsys, tmp_path):
     target.write_text(WRONG_INVARIANT, encoding="utf-8")
     code, out, _ = run(capsys, "verify", str(target))
     assert code == 1
-    assert "global condition: fails at k=0 n=1" in out
-    assert "loop at line 4: establishment fails at k=0 n=1" in out.splitlines()
-    assert "loop at line 4: sufficiency holds" in out
+    # The global condition carries the loop's establishment.
+    assert "global condition: fails at k=0 n=1 (establishes the loop at line 4)" in out.splitlines()
+    assert "loop at line 4: exit holds" in out
 
 
 @pytest.mark.parametrize(
@@ -176,27 +204,93 @@ def test_verify_establishment_follows_the_prefix(capsys, tmp_path, source):
 
 
 @pytest.mark.parametrize(
-    "source",
+    "source, code, failure",
     [
-        # under IF; without the check, x < 3 passes although it is not preserved
-        "{n >= 0}\nx := 0;\nIF n > 0 THEN\nWHILE x < n DO {x <= n /\\ x < 3} x := x + 1\n"
-        "ELSE SKIP {x = n}",
-        "{n >= 0}\nx := 0;\nBEGIN VAR t;\nWHILE x < n DO {x <= n} x := x + 1\nEND {x = n}",
-        "{n >= 0}\nx := 0;\nWHILE x < n DO {x <= n} BEGIN x := x + 1; y := 0;\n"
-        "WHILE y < x DO {y <= x} y := y + 1 END {x = n}",
-        # an equal loop on the top-level sequence does not admit the nested one
-        "{n >= 0}\nx := 0;\nWHILE x < n DO {x <= n} x := x + 1;\n"
-        "IF n > 0 THEN WHILE x < n DO {x <= n} x := x + 1 ELSE SKIP {x = n}",
+        # x < 3 is true where the loop starts but not preserved once n > 3
+        (
+            "{n >= 0}\nx := 0;\nIF n > 0 THEN\nWHILE x < n DO {x <= n /\\ x < 3} x := x + 1\n"
+            "ELSE SKIP {x = n}",
+            1,
+            "loop at line 4: preservation fails at n=3 x=2 (establishes the loop at line 4)",
+        ),
+        (
+            "{n >= 0}\nx := 0;\nBEGIN VAR t;\nWHILE x < n DO {x <= n} x := x + 1\nEND {x = n}",
+            0,
+            None,
+        ),
+        # the inner invariant y <= x does not carry the outer x <= n to its exit
+        (
+            "{n >= 0}\nx := 0;\nWHILE x < n DO {x <= n} BEGIN x := x + 1; y := 0;\n"
+            "WHILE y < x DO {y <= x} y := y + 1 END {x = n}",
+            1,
+            "loop at line 4: exit fails at n=0 x=1 y=1 (establishes the loop at line 3)",
+        ),
+        (
+            "{n >= 0}\nx := 0;\nWHILE x < n DO {x <= n} x := x + 1;\n"
+            "IF n > 0 THEN WHILE x < n DO {x <= n} x := x + 1 ELSE SKIP {x = n}",
+            0,
+            None,
+        ),
     ],
     ids=["under-if", "in-block", "in-loop-body", "equal-to-a-spine-loop"],
 )
-def test_verify_rejects_nested_annotated_loops(capsys, tmp_path, source):
+def test_verify_checks_nested_annotated_loops(capsys, tmp_path, source, code, failure):
     target = tmp_path / "nested.imp"
     target.write_text(source, encoding="utf-8")
-    code, out, err = run(capsys, "verify", str(target))
-    assert code == 2
-    assert out == ""
-    assert "error: loop at line 4 is nested in another statement" in err
+    got, out, err = run(capsys, "verify", str(target))
+    assert (got, err) == (code, "")
+    lines = out.splitlines()
+    assert any(line.startswith("loop at line 4: exit ") for line in lines)  # the nested loop is checked
+    assert [line for line in lines if " fails at " in line] == ([failure] if failure else [])
+
+
+def test_verify_loop_after_loop_names_the_later_loop(capsys, tmp_path):
+    # The second loop's establishment rides in the first loop's exit
+    # condition, which fails and names the second loop.
+    target = tmp_path / "two.imp"
+    target.write_text(LOOP_AFTER_LOOP, encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(target))
+    assert code == 1
+    assert [line for line in out.splitlines() if " fails at " in line] == [
+        "loop at line 3: exit fails at n=1 x=1 (establishes the loop at line 6)"
+    ]
+    assert "global condition: holds on all stores with values <= 6" in out
+
+
+def test_verify_keeps_one_entry_per_loop_on_a_shared_line(capsys, tmp_path):
+    target = tmp_path / "one-line.imp"
+    target.write_text(" ".join(LOOP_AFTER_LOOP.split()), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(target), "--format", "json")
+    assert code == 1
+    first, second = json.loads(out)["loops"]
+    assert first["location"] == second["location"] == 1
+    assert first["conditions"]["exit"] == {
+        "holds": False,
+        "counterexample": {"n": 1, "x": 1},
+        "establishes": [1],
+    }
+    assert all(res["holds"] for res in second["conditions"].values())
+
+
+def test_verify_nested_loops(capsys, tmp_path):
+    target = tmp_path / "nested.imp"
+    target.write_text(NESTED_ANNOTATED, encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(target), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["global"]["holds"]
+    assert [entry["location"] for entry in doc["loops"]] == [4, 9]
+    for entry in doc["loops"]:
+        assert list(entry["conditions"]) == ["preservation", "exit"]
+        assert all(res["holds"] for res in entry["conditions"].values()), entry
+    # Without the outer facts the inner invariant cannot re-establish the
+    # outer one after the inner loop exits.
+    target.write_text(NESTED_ANNOTATED.replace(" /\\ x < n /\\ y = k ^ x}", "}"), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(target))
+    assert code == 1
+    assert [line for line in out.splitlines() if " fails at " in line] == [
+        "loop at line 9: exit fails at k=0 n=0 v=0 x=0 y=0 z=0 (establishes the loop at line 4)"
+    ]
 
 
 def test_verify_requires_annotations(capsys, programs):
@@ -224,7 +318,7 @@ def test_verify_json_report(capsys, programs):
     assert code == 0
     doc = json.loads(out)
     assert doc["bound"] == 6
-    assert doc["global"] == {"holds": True, "counterexample": None}
+    assert doc["global"] == {"holds": True, "counterexample": None, "establishes": [6]}
     (entry,) = doc["loops"]
     assert entry["location"] == 6
     assert all(res["holds"] for res in entry["conditions"].values())

@@ -1,15 +1,18 @@
 """Weakest liberal preconditions: the structural rows, the two loop
-modes, and verification-condition sets."""
+modes, and the verification conditions of annotated loops."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from loopinv.evaluator import Finished, exec_stmt, holds, stores
 from loopinv.parser import parse_expression, parse_program, pretty
-from loopinv.terms import Op, Skip, Var, While
+from loopinv.terms import Skip, While, free_vars, substatements
 from loopinv.wlp import (
     LocalsInPostcondition,
     UnannotatedLoop,
     top_conjuncts,
-    vcs_for_loop,
+    verification_conditions,
     wlp,
 )
 
@@ -66,13 +69,13 @@ def test_unannotated_loop_rejected():
 
 
 def test_invariant_mode_builds_classical_condition():
+    # Preservation and exit are obligations over every store, not
+    # conjuncts evaluated where the loop starts.
     src = "{n >= 0} WHILE x < n DO {x <= n} x := x + 1 {x = n}"
-    st = prog(src)
-    out = wlp(st, e("x = n"), "invariant")
-    inv, guard, exitc = top_conjuncts(out)
-    assert inv == e("x <= n")
-    assert guard == e("x < n /\\ x <= n => x + 1 <= n")
-    assert exitc == e("~(x < n) /\\ x <= n => x = n")
+    assert wlp(prog(src), e("x = n"), "invariant") == e("x <= n")
+    _, preservation, exit_ = verification_conditions(parse_program(src))
+    assert preservation.formula == e("x < n /\\ x <= n => x + 1 <= n")
+    assert exit_.formula == e("~(x < n) /\\ x <= n => x = n")
 
 
 def test_substitute_mode_uses_summary_equation():
@@ -95,11 +98,10 @@ x := 0
 
 def test_substitute_mode_falls_back_when_summary_unusable():
     # Post mentions z, which the body also assigns: the summary cannot
-    # stand for the whole effect, so the classical row applies.
+    # stand for the whole effect, so the invariant rule applies.
     src = "{n >= 0} WHILE z < k DO {z <= k} z := z + 1 {z = k}"
     loop = prog(src)
-    out = wlp(loop, e("z = k"), "substitute")
-    assert len(top_conjuncts(out)) == 3
+    assert wlp(loop, e("z = k"), "substitute") == e("z <= k")
 
 
 def test_substitute_mode_without_any_annotation_fails():
@@ -115,14 +117,99 @@ def test_top_conjuncts_treats_implications_as_atomic():
     assert parts[0] == e("a = 0 => b = 0")
 
 
-def test_vcs_for_loop_three_conditions():
-    loop = prog("{n >= 0} WHILE x < n DO {x <= n /\\ y = k ^ x} BEGIN x := x + 1; y := y * k END {y = k ^ n}")
-    prefix = prog("{n >= 0} x := 0; y := 1 {n >= 0}")
-    vcs = vcs_for_loop(e("n >= 0"), prefix, loop, e("y = k ^ n"))
-    assert vcs.establishment == e("n >= 0 => 0 <= n /\\ 1 = k ^ 0")
-    assert vcs_for_loop(e("n >= 0"), Skip(), loop, e("y = k ^ n")).establishment == Op(
-        "⇒", (e("n >= 0"), loop.invariant)
-    )
-    assert pretty(vcs.preservation) == "x<n ∧ (x≤n ∧ y=k^x) ⇒ x+1≤n ∧ y*k=k^(x+1)"
-    assert pretty(vcs.sufficiency) == "¬(x<n) ∧ (x≤n ∧ y=k^x) ⇒ y=k^n"
+def test_loop_obligations_preservation_and_exit():
+    program = "x := 0; y := 1; WHILE x < n DO {x <= n /\\ y = k ^ x} BEGIN x := x + 1; y := y * k END"
+    triple = parse_program("{n >= 0} " + program + " {y = k ^ n}")
+    glob, preservation, exit_ = verification_conditions(triple)
+    loop = triple.program.second.second
+    assert glob.formula == e("n >= 0 => 0 <= n /\\ 1 = k ^ 0")  # establishment
+    assert glob.establishes == (loop,)
+    assert preservation.loop is exit_.loop is loop
+    assert (preservation.kind, exit_.kind) == ("preservation", "exit")
+    assert pretty(preservation.formula) == "x<n ∧ (x≤n ∧ y=k^x) ⇒ x+1≤n ∧ y*k=k^(x+1)"
+    assert preservation.establishes == (loop,)
+    assert pretty(exit_.formula) == "¬(x<n) ∧ (x≤n ∧ y=k^x) ⇒ y=k^n"
+    assert exit_.establishes == ()
 
+
+def test_obligations_of_nested_loops_carry_the_enclosing_invariant():
+    triple = parse_program(
+        "{n >= 0} x := 0; WHILE x < n DO {x <= n} BEGIN y := 0; "
+        "WHILE y < x DO {y <= x} y := y + 1; x := x + 1 END {x = n}"
+    )
+    outer = triple.program.second
+    inner = outer.body.second.first
+    glob, inner_kept, inner_exit, outer_kept, outer_exit = verification_conditions(triple)
+    assert [(vc.loop, vc.kind) for vc in (inner_kept, inner_exit, outer_kept, outer_exit)] == [
+        (inner, "preservation"),
+        (inner, "exit"),
+        (outer, "preservation"),
+        (outer, "exit"),
+    ]
+    assert glob.establishes == (outer,)
+    # The outer body runs y := 0, then the inner loop, whose exit carries
+    # the outer invariant through x := x + 1.
+    assert outer_kept.establishes == (inner,)
+    assert inner_exit.formula == e("~(y < x) /\\ y <= x => x + 1 <= n")
+    assert inner_exit.establishes == (outer,)
+    assert outer_exit.establishes == ()
+
+
+def test_loops_under_both_branches_are_carried_once():
+    triple = parse_program(
+        "{n >= 0} x := 0; IF n > 0 THEN x := 1 ELSE SKIP; "
+        "WHILE x < n DO {x <= n} x := x + 1 {x = n}"
+    )
+    (glob, *_) = verification_conditions(triple)
+    assert glob.establishes == (triple.program.second.second,)
+
+
+# --- bounded soundness of the generator ---------------------------------------------
+
+SHAPES = {
+    "sequence": "x := 0; WHILE x < n DO {%s} x := x + 1; y := 0; WHILE y < %s DO {%s} y := y + 1",
+    "nested": "x := 0; WHILE x < n DO {%s} BEGIN y := 0; WHILE y < %s DO {%s} y := y + 1; x := x + 1 END",
+}
+OUTER = ["x <= n", "x < n", "x = 0", "true"]
+INNER = [
+    "y <= x", "y <= n", "y <= x /\\ x <= n", "y <= x /\\ x = n", "y <= n /\\ x = n",
+    "y <= n /\\ x < n", "y <= x /\\ x < n", "y <= n /\\ x <= n",
+]
+POSTS = ["x = n", "y = n", "y = x", "x = n /\\ y = n", "y <= n"]
+BOUND = 4
+
+
+def test_conditions_that_hold_up_to_the_bound_hold_on_every_run():
+    # Only counters and copies: no value exceeds n, so the stores up to
+    # the bound include every store that a run from a pre-store reaches.
+    verified = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        hst.sampled_from(sorted(SHAPES)),
+        hst.sampled_from(OUTER),
+        hst.sampled_from(["x", "n"]),
+        hst.sampled_from(INNER),
+        hst.sampled_from(POSTS),
+    )
+    def check(shape, outer, limit, inner, post):
+        triple = parse_program(f"{{n >= 0}} {SHAPES[shape] % (outer, limit, inner)} {{{post}}}")
+        conditions = verification_conditions(triple)
+        if not all(
+            holds(vc.formula, store)
+            for vc in conditions
+            for store in stores(sorted(free_vars(vc.formula)), BOUND)
+        ):
+            return
+        verified.append(triple)
+        loops = [st for st in substatements(triple.program) if isinstance(st, While)]
+        for store in stores(["n", "x", "y"], BOUND):
+            for loop in loops:
+                outcome = exec_stmt(triple.program, store, fuel=1_000, watch=loop)
+                assert isinstance(outcome, Finished)
+                assert holds(triple.post, outcome.store)
+                for visit in outcome.visits:
+                    assert all(holds(loop.invariant, s) for s in visit), (pretty(loop.invariant), visit)
+
+    check()
+    assert len(verified) >= 10  # the implication was exercised, not vacuous
