@@ -43,8 +43,8 @@ from .solver import (
     diagnose_lost_variables,
     solve,
 )
-from .terms import Expr, Triple, While, free_vars, program_vars, substatements
-from .wlp import WlpError, verification_conditions
+from .terms import Expr, Op, Triple, While, free_vars, program_vars, substatements
+from .wlp import Obligation, WlpError, first_loops, wlp
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -268,38 +268,40 @@ def _verify(triple: Triple, args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_NO_INVARIANT
+    obligations: list[Obligation] = []
     try:
-        conditions = verification_conditions(triple)
+        pulled = wlp(triple.program, triple.post, obligations)
     except WlpError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_INVARIANT
 
-    # One entry per loop node, in source order; equal loops stay apart.
-    entries = {id(loop): {"location": loop.line, "conditions": {}} for loop in loops}
-    report: dict = {"bound": args.bound, "global": None, "loops": list(entries.values())}
-    code = EXIT_OK
-    for vc in conditions:
-        ce = _counterexample(vc.formula, args.bound)
-        result = {
+    def check(formula: Expr, establishes: tuple[While, ...]) -> dict:
+        ce = _counterexample(formula, args.bound)
+        return {
             "holds": ce is None,
             "counterexample": ce,
-            "establishes": sorted({loop.line for loop in vc.establishes}),
+            "establishes": sorted({loop.line for loop in establishes}),
         }
-        if vc.loop is None:
-            report["global"] = result
-        else:
-            entries[id(vc.loop)]["conditions"][vc.kind] = result
-        if ce is not None:
-            code = EXIT_REFUTED
 
-    if args.format == "json":
-        print(json.dumps(report, ensure_ascii=False, indent=2))
-        return code
+    # One entry per loop node, in source order; equal loops stay apart.
+    entries = {id(loop): {"location": loop.line, "conditions": {}} for loop in loops}
+    report: dict = {
+        "bound": args.bound,
+        "global": check(Op("⇒", (triple.pre, pulled)), first_loops(triple.program)),
+        "loops": list(entries.values()),
+    }
+    for vc in obligations:
+        entries[id(vc.loop)]["conditions"][vc.kind] = check(vc.formula, vc.establishes)
     named = [("global condition:", report["global"])] + [
         (f"loop at line {entry['location']}: {kind}", res)
         for entry in report["loops"]
         for kind, res in entry["conditions"].items()
     ]
+    code = EXIT_OK if all(res["holds"] for _, res in named) else EXIT_REFUTED
+
+    if args.format == "json":
+        print(json.dumps(report, ensure_ascii=False, indent=2))
+        return code
     for name, res in named:
         if res["holds"]:
             held = f" on all stores with values <= {args.bound}" if res is report["global"] else ""

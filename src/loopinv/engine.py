@@ -141,7 +141,7 @@ def find_invariant(
             p = merged
             continue
 
-        pulled = wlp(loop.body, p, "substitute")
+        pulled = wlp(loop.body, p)
         units = top_conjuncts(pulled)
         if not any(isinstance(u, Op) and u.op == "⇒" for u in units):
             units = [pulled]  # no guarded paths: keep the formula whole
@@ -212,7 +212,7 @@ def annotate_program(
                 b2 = visit(b, post)
                 if post is not None:
                     try:
-                        a_post: Expr | None = wlp(b2, post, "substitute")
+                        a_post: Expr | None = wlp(b2, post)
                     except WlpError:
                         a_post = None
                 else:

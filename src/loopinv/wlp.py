@@ -4,19 +4,20 @@
 substitution and never simplifies.  Two treatments of loops are
 available:
 
-* ``loop_mode="invariant"`` — the classical annotated-loop rule: the
-  loop must carry an invariant I and contributes just I.  Its two
+* with a ``side`` list, the classical annotated-loop rule: the loop
+  must carry an invariant I and contributes just I.  Its two
   obligations must hold on every store, not only where the loop
-  starts: preservation ``(B ∧ I) ⇒ wlp(body, I)`` and exit
-  ``(¬B ∧ I) ⇒ Q``.  ``verification_conditions`` returns the global
-  condition ``pre ⇒ wlp(program, post)`` and the obligations of every
-  loop, at any depth.
+  starts, so they go to ``side`` instead of into the formula:
+  preservation ``(B ∧ I) ⇒ wlp(body, I)`` and exit ``(¬B ∧ I) ⇒ Q``,
+  for every loop at any depth.  ``pre ⇒ wlp(program, post, side)``
+  together with every obligation in ``side`` is the verification
+  condition of the triple.
 
-* ``loop_mode="substitute"`` — an annotated loop postcondition of the
-  shape ``v = rhs`` acts as an assignment summary: the loop contributes
-  ``Q{v := rhs}``, provided Q mentions no body-assigned variable other
-  than v and rhs mentions none at all.  When those side conditions fail
-  the loop falls back to the invariant rule.
+* without one, discovery's approximation: an annotated loop
+  postcondition of the shape ``v = rhs`` acts as an assignment summary,
+  so the loop contributes ``Q{v := rhs}``, provided Q mentions no
+  body-assigned variable other than v and rhs mentions none at all.
+  When those side conditions fail the loop contributes its invariant.
 
 Block-scoped locals must not occur in the postcondition being pushed
 through the block; that is a hard error rather than a silent capture.
@@ -35,7 +36,6 @@ from .terms import (
     Seq,
     Skip,
     Stmt,
-    Triple,
     Var,
     While,
     assigned_vars,
@@ -56,79 +56,89 @@ class LocalsInPostcondition(WlpError):
     """Block locals occur free in the postcondition pushed through it."""
 
 
-LOOP_MODES = ("invariant", "substitute")
-
-
 @dataclass(frozen=True)
 class Obligation:
-    """One verification condition, with the loops whose invariant its
-    consequent carries: for preservation the loop itself (unless its
-    body starts with a loop), for exit the loops that come first after
-    it, and for the global condition the program's first loops."""
+    """One loop's preservation or exit condition, with the loops whose
+    invariant its consequent carries: for preservation the loops first
+    reached in the body (the loop itself where the body can finish
+    without one), for exit the loops first reached after the loop."""
 
-    loop: While | None  # None for the global condition
-    kind: str  # "global", "preservation" or "exit"
+    loop: While
+    kind: str  # "preservation" or "exit"
     formula: Expr
     establishes: tuple[While, ...]
 
 
-def wlp(st: Stmt, q: Expr, loop_mode: str = "invariant") -> Expr:
-    """Weakest liberal precondition of `st` for postcondition `q`."""
-    if loop_mode not in LOOP_MODES:
-        raise ValueError(f"loop_mode must be one of {LOOP_MODES}")
-    return _wlp(st, q, (), loop_mode, None)[0]
+def wlp(st: Stmt, q: Expr, side: list[Obligation] | None = None) -> Expr:
+    """Weakest liberal precondition of `st` for postcondition `q`.
+
+    With a `side` list, every loop contributes its invariant and appends
+    its preservation and exit obligations to `side`.  Without one, a
+    loop whose post summarises it contributes that summary, and any
+    other loop its invariant: an approximation for discovery, which
+    checks no loop.
+    """
+    return _wlp(st, q, (), side)
 
 
-def verification_conditions(t: Triple) -> list[Obligation]:
-    """The global condition pre ⇒ wlp(program, post), then the
-    preservation and exit obligations of every loop in the program."""
-    side: list[Obligation] = []
-    pulled, carried = _wlp(t.program, t.post, (), "invariant", side)
-    return [Obligation(None, "global", Op("⇒", (t.pre, pulled)), carried), *side]
+def first_loops(st: Stmt, after: tuple[While, ...] = ()) -> tuple[While, ...]:
+    """The loops a run of `st` reaches first, plus `after` if some path
+    through `st` meets no loop; each loop node once."""
+    match st:
+        case While():
+            return (st,)
+        case Seq(a, b):
+            return first_loops(a, first_loops(b, after))
+        case If(_, t, e):
+            ft = first_loops(t, after)
+            return ft + tuple(c for c in first_loops(e, after) if not any(c is d for d in ft))
+        case Block(_, body):
+            return first_loops(body, after)
+        case _:
+            return after
 
 
-def _wlp(
-    st: Stmt, q: Expr, carried: tuple[While, ...], loop_mode: str, side: list[Obligation] | None
-) -> tuple[Expr, tuple[While, ...]]:
-    """wlp, and the loops whose invariant it carries, given those that
-    `q` carries; with a `side` list, each loop appends its obligations."""
+def _wlp(st: Stmt, q: Expr, after: tuple[While, ...], side: list[Obligation] | None) -> Expr:
+    """wlp, given the loops first reached after `st` (read only to
+    attribute the obligations appended to `side`)."""
     match st:
         case Skip():
-            return q, carried
+            return q
         case Assign(var, rhs):
-            return substitute(q, {var: rhs}), carried
+            return substitute(q, {var: rhs})
         case Seq(a, b):
-            return _wlp(a, *_wlp(b, q, carried, loop_mode, side), loop_mode, side)
+            pulled = _wlp(b, q, after, side)
+            if side is not None and not isinstance(a, (Skip, Assign)):  # loops in `a` read it
+                after = first_loops(b, after)
+            return _wlp(a, pulled, after, side)
         case If(cond, t, e):
-            pt, ct = _wlp(t, q, carried, loop_mode, side)
-            pe, ce = _wlp(e, q, carried, loop_mode, side)
-            both = Op("∧", (Op("⇒", (cond, pt)), Op("⇒", (Op("¬", (cond,)), pe))))
-            return both, ct + tuple(c for c in ce if not any(c is d for d in ct))
+            pt = _wlp(t, q, after, side)
+            pe = _wlp(e, q, after, side)
+            return Op("∧", (Op("⇒", (cond, pt)), Op("⇒", (Op("¬", (cond,)), pe))))
         case Block(locs, body):
             clash = set(locs) & free_vars(q)
             if clash:
                 raise LocalsInPostcondition(
                     f"block locals {sorted(clash)} occur in the postcondition"
                 )
-            return _wlp(body, q, carried, loop_mode, side)
+            return _wlp(body, q, after, side)
         case While(cond, body, invariant, post):
-            if loop_mode == "substitute" and post is not None:
+            if side is None and post is not None:
                 summary = _summary_substitution(post, body, q)
                 if summary is not None:
-                    return substitute(q, summary), carried
+                    return substitute(q, summary)
             if invariant is None:
                 raise UnannotatedLoop(
                     "loop has no invariant"
                     + (" and its postcondition is not usable as a summary" if post is not None else "")
                 )
             if side is not None:
-                kept, by_body = _wlp(body, invariant, (st,), loop_mode, side)
-                side.append(
-                    Obligation(st, "preservation", Op("⇒", (Op("∧", (cond, invariant)), kept)), by_body)
-                )
+                kept = _wlp(body, invariant, (st,), side)
+                preservation = Op("⇒", (Op("∧", (cond, invariant)), kept))
+                side.append(Obligation(st, "preservation", preservation, first_loops(body, (st,))))
                 exit_ = Op("⇒", (Op("∧", (Op("¬", (cond,)), invariant)), q))
-                side.append(Obligation(st, "exit", exit_, carried))
-            return invariant, (st,)
+                side.append(Obligation(st, "exit", exit_, after))
+            return invariant
         case _:
             raise TypeError(f"not a Stmt: {st!r}")
 

@@ -132,6 +132,67 @@ def test_discover_nested_reports_both_loops(capsys, programs):
     assert out.count("verdict: verified up to bound 6") == 2
 
 
+# Discovery pulls a later or inner loop's target back through that loop.
+# Where the loop's post is no usable v = E summary, the loop stands for
+# its invariant alone; the post beyond it does not take part.
+LOOP_THEN_LOOP = """{n >= 0}
+x := 0;
+WHILE x < n DO
+  x := x + 1;
+y := 0;
+WHILE y < x DO
+  y := y + 1
+{y = n}"""
+
+INNER_WITHOUT_SUMMARY = """{n >= 0}
+x := 0;
+WHILE x < n DO
+BEGIN
+  y := 0;
+  WHILE y < x DO
+    y := y + 1
+  {x <= y};
+  x := x + 1
+END
+{x = n}"""
+
+
+def test_discovery_through_a_later_loop_uses_its_invariant(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(LOOP_THEN_LOOP))
+    code, out, _ = run(capsys, "trace", "-")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "loop at line 3:",
+        # the second loop's y+g3=x ∧ y+g3=n after y := 0
+        "  1. [Init] x≥n ∧ (0+g3=x ∧ 0+g3=n)  -- negated guard conjoined with the postcondition",
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO(LOOP_THEN_LOOP))
+    code, out, _ = run(capsys, "discover", "-")
+    assert code == 1
+    assert "  verdict: requirement 3 fails at n=0 x=0 y=0" in out.splitlines()[:6]
+
+
+def test_discovery_through_an_inner_loop_uses_its_invariant(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(INNER_WITHOUT_SUMMARY))
+    code, out, _ = run(capsys, "trace", "-")
+    assert code == 0
+    lines = out.splitlines()
+    # The outer body pulls back to the inner invariant after y := 0; the
+    # outer target x = n is gone from it, and so from the outer invariant.
+    assert lines[:5] == [
+        "loop at line 3:",
+        "  1. [Init] x≥n ∧ x=n  -- negated guard conjoined with the postcondition",
+        "  2. [WLPStep] 0+g3=x ∧ x≤0+g3  -- pulled back through the body; paths: 1",
+        "  3. [WLPStep] 0+g3=x ∧ x≤0+g3  -- pulled back through the body; paths: 1",
+        "  4. [RenamingFound] 0+g3=x ∧ x≤0+g3  -- renaming of approximation 2",
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO(INNER_WITHOUT_SUMMARY))
+    code, out, _ = run(capsys, "discover", "-")
+    assert code == 0
+    assert out.splitlines()[:2] == ["loop at line 3:", "  invariant: 0+g3=x ∧ x≤0+g3"]
+
+
 def test_trace_numbers_steps(capsys, programs):
     code, out, _ = run(capsys, "trace", str(programs / "exp_simple.imp"))
     assert code == 0

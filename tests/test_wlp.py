@@ -1,5 +1,5 @@
 """Weakest liberal preconditions: the structural rows, the two loop
-modes, and the verification conditions of annotated loops."""
+rules, and the verification conditions of annotated loops."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +7,12 @@ from hypothesis import strategies as hst
 
 from loopinv.evaluator import Finished, exec_stmt, holds, stores
 from loopinv.parser import parse_expression, parse_program, pretty
-from loopinv.terms import Skip, While, free_vars, substatements
+from loopinv.terms import Op, Skip, While, free_vars, substatements
 from loopinv.wlp import (
     LocalsInPostcondition,
     UnannotatedLoop,
+    first_loops,
     top_conjuncts,
-    verification_conditions,
     wlp,
 )
 
@@ -23,6 +23,14 @@ def e(text):
 
 def prog(src):
     return parse_program(src).program
+
+
+def conditions(triple):
+    """The global condition pre ⇒ wlp(program, post) and the loops'
+    obligations, as verify checks them."""
+    side = []
+    pulled = wlp(triple.program, triple.post, side)
+    return Op("⇒", (triple.pre, pulled)), side
 
 
 def test_skip_returns_post_unchanged():
@@ -72,10 +80,21 @@ def test_invariant_mode_builds_classical_condition():
     # Preservation and exit are obligations over every store, not
     # conjuncts evaluated where the loop starts.
     src = "{n >= 0} WHILE x < n DO {x <= n} x := x + 1 {x = n}"
-    assert wlp(prog(src), e("x = n"), "invariant") == e("x <= n")
-    _, preservation, exit_ = verification_conditions(parse_program(src))
+    side = []
+    assert wlp(prog(src), e("x = n"), side) == e("x <= n")
+    preservation, exit_ = side
     assert preservation.formula == e("x < n /\\ x <= n => x + 1 <= n")
     assert exit_.formula == e("~(x < n) /\\ x <= n => x = n")
+
+
+def test_invariant_rule_ignores_a_usable_summary():
+    # A summary is the loop's claimed effect, not a checked one: with
+    # obligations collected, the loop contributes its invariant.
+    src = "{n >= 0} WHILE z < k DO {z <= k} z := z + 1 {z = k}"
+    side = []
+    assert wlp(prog(src), e("x = k"), side) == e("z <= k")
+    assert [vc.kind for vc in side] == ["preservation", "exit"]
+    assert side[1].formula == e("~(z < k) /\\ z <= k => x = k")
 
 
 def test_substitute_mode_uses_summary_equation():
@@ -92,22 +111,22 @@ x := 0
 {n >= 0}"""
     loop = prog(src).first
     assert isinstance(loop, While) and loop.post is not None
-    out = wlp(loop, e("v = y ^ 2"), "substitute")
+    out = wlp(loop, e("v = y ^ 2"))
     assert out == e("y * k = y ^ 2")
 
 
 def test_substitute_mode_falls_back_when_summary_unusable():
     # Post mentions z, which the body also assigns: the summary cannot
-    # stand for the whole effect, so the invariant rule applies.
+    # stand for the whole effect, so the loop contributes its invariant.
     src = "{n >= 0} WHILE z < k DO {z <= k} z := z + 1 {z = k}"
     loop = prog(src)
-    assert wlp(loop, e("z = k"), "substitute") == e("z <= k")
+    assert wlp(loop, e("z = k")) == e("z <= k")
 
 
 def test_substitute_mode_without_any_annotation_fails():
     loop = While(e("z < k"), prog("{n >= 0} z := z + 1 {n >= 0}"))
     with pytest.raises(UnannotatedLoop):
-        wlp(loop, e("z = k"), "substitute")
+        wlp(loop, e("z = k"))
 
 
 def test_top_conjuncts_treats_implications_as_atomic():
@@ -120,10 +139,10 @@ def test_top_conjuncts_treats_implications_as_atomic():
 def test_loop_obligations_preservation_and_exit():
     program = "x := 0; y := 1; WHILE x < n DO {x <= n /\\ y = k ^ x} BEGIN x := x + 1; y := y * k END"
     triple = parse_program("{n >= 0} " + program + " {y = k ^ n}")
-    glob, preservation, exit_ = verification_conditions(triple)
+    glob, (preservation, exit_) = conditions(triple)
     loop = triple.program.second.second
-    assert glob.formula == e("n >= 0 => 0 <= n /\\ 1 = k ^ 0")  # establishment
-    assert glob.establishes == (loop,)
+    assert glob == e("n >= 0 => 0 <= n /\\ 1 = k ^ 0")  # establishment
+    assert first_loops(triple.program) == (loop,)
     assert preservation.loop is exit_.loop is loop
     assert (preservation.kind, exit_.kind) == ("preservation", "exit")
     assert pretty(preservation.formula) == "x<n ∧ (x≤n ∧ y=k^x) ⇒ x+1≤n ∧ y*k=k^(x+1)"
@@ -139,14 +158,14 @@ def test_obligations_of_nested_loops_carry_the_enclosing_invariant():
     )
     outer = triple.program.second
     inner = outer.body.second.first
-    glob, inner_kept, inner_exit, outer_kept, outer_exit = verification_conditions(triple)
+    _, (inner_kept, inner_exit, outer_kept, outer_exit) = conditions(triple)
     assert [(vc.loop, vc.kind) for vc in (inner_kept, inner_exit, outer_kept, outer_exit)] == [
         (inner, "preservation"),
         (inner, "exit"),
         (outer, "preservation"),
         (outer, "exit"),
     ]
-    assert glob.establishes == (outer,)
+    assert first_loops(triple.program) == (outer,)
     # The outer body runs y := 0, then the inner loop, whose exit carries
     # the outer invariant through x := x + 1.
     assert outer_kept.establishes == (inner,)
@@ -160,8 +179,7 @@ def test_loops_under_both_branches_are_carried_once():
         "{n >= 0} x := 0; IF n > 0 THEN x := 1 ELSE SKIP; "
         "WHILE x < n DO {x <= n} x := x + 1 {x = n}"
     )
-    (glob, *_) = verification_conditions(triple)
-    assert glob.establishes == (triple.program.second.second,)
+    assert first_loops(triple.program) == (triple.program.second.second,)
 
 
 # --- bounded soundness of the generator ---------------------------------------------
@@ -184,7 +202,7 @@ def test_conditions_that_hold_up_to_the_bound_hold_on_every_run():
     # the bound include every store that a run from a pre-store reaches.
     verified = []
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         hst.sampled_from(sorted(SHAPES)),
         hst.sampled_from(OUTER),
@@ -194,11 +212,11 @@ def test_conditions_that_hold_up_to_the_bound_hold_on_every_run():
     )
     def check(shape, outer, limit, inner, post):
         triple = parse_program(f"{{n >= 0}} {SHAPES[shape] % (outer, limit, inner)} {{{post}}}")
-        conditions = verification_conditions(triple)
+        glob, side = conditions(triple)
         if not all(
-            holds(vc.formula, store)
-            for vc in conditions
-            for store in stores(sorted(free_vars(vc.formula)), BOUND)
+            holds(formula, store)
+            for formula in [glob, *(vc.formula for vc in side)]
+            for store in stores(sorted(free_vars(formula)), BOUND)
         ):
             return
         verified.append(triple)
@@ -212,4 +230,6 @@ def test_conditions_that_hold_up_to_the_bound_hold_on_every_run():
                     assert all(holds(loop.invariant, s) for s in visit), (pretty(loop.invariant), visit)
 
     check()
-    assert len(verified) >= 10  # the implication was exercised, not vacuous
+    # 34 of the 640 combinations verify, so 300 draws give about 16; the
+    # draws follow the test's source, and 5 leaves room for any of them.
+    assert len(verified) >= 5  # the implication was exercised, not vacuous
