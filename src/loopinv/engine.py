@@ -15,9 +15,11 @@ instantiated by the solver.
 ``annotate_program`` runs the search over every loop of a program,
 innermost loops first and rightmost siblings before their prefixes so
 each loop's postcondition can be computed by pulling the program's
-postcondition backwards through the already-annotated suffix.  Loops
-buried inside another loop's body have no derivable postcondition and
-must carry one in the source (``WHILE b DO s {q}``).
+postcondition backwards through the already-annotated suffix, which
+passes a later loop only by its summary (see wlp).  Loops buried inside
+another loop's body, and loops that a later loop without a summary
+follows, have no derivable postcondition and must carry one in the
+source (``WHILE b DO s {q}``).
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def annotate_program(
                             None,
                             EngineFailure(
                                 "MissingPostcondition",
-                                "inner loop needs a trailing {assertion} to summarise it",
+                                "no postcondition reaches this loop; it needs a trailing {assertion}",
                             ),
                         )
                     )

@@ -175,9 +175,18 @@ def holds(e: Expr, store: Store) -> bool:
 
 
 def stores(names: list[str], bound: int) -> Iterator[Store]:
-    """Every store over `names` with values ≤ bound, in lexicographic order."""
-    for values in itertools.product(range(bound + 1), repeat=len(names)):
-        yield dict(zip(names, values))
+    """Every store over `names` with values ≤ bound, once each: smallest
+    maximum first, lexicographic among stores with the same maximum (the
+    depth-bounded order of SmallCheck).  A bounded check that stops at
+    its first failing store thus reports one with the smallest maximum,
+    and a search for a satisfying store ends near the origin, where
+    witnesses tend to live.  No names give the one empty store."""
+    if not names:
+        yield {}
+    for m in range(bound + 1):
+        for values in itertools.product(range(m + 1), repeat=len(names)):
+            if m in values:
+                yield dict(zip(names, values))
 
 
 class _OutOfFuel(Exception):

@@ -38,10 +38,9 @@ parity flips x%2≠1 → x%2=0 and x%2≠0 → x%2=1 so R4 can see them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .evaluator import EvalError, eval_expr
+from .evaluator import EvalError, eval_expr, stores
 from .terms import Ctor, Expr, Num, Op, REL_OPS, TRUE, conjoin, free_vars
 from .wlp import top_conjuncts
 
@@ -82,35 +81,17 @@ _NEG_FLIP = {"<": "≥", ">": "≤", "≤": ">", "≥": "<", "=": "≠"}
 _RIGHT_ASSOC = ("+", "*", "∧", "∨")
 
 
-def stores_ascending(names: list[str], bound: int):
-    """All stores over `names` with values ≤ bound, smallest maxima first.
-
-    Shell ordering makes satisfiable-formula searches exit quickly, since
-    witnesses tend to live near the origin; exhaustive scans see every
-    store exactly once either way.
-    """
-    if not names:
-        yield {}
-        return
-    for shell in range(bound + 1):
-        for tup in itertools.product(range(shell + 1), repeat=len(names)):
-            if shell == 0 or max(tup) == shell:
-                yield dict(zip(names, tup))
-
-
-def refuted(conjuncts: list[Expr], bound: int) -> tuple[bool, int]:
-    """Exhaustively search stores with all variables ≤ bound for one
-    satisfying every conjunct.  Returns (no witness found, stores that
-    raised EvalError and were skipped)."""
+def refuted(conjuncts: list[Expr], bound: int) -> bool:
+    """Whether no store with all variables ≤ bound satisfies every
+    conjunct; a store where evaluation fails is no witness."""
     names = sorted(set().union(*(free_vars(c) for c in conjuncts)) if conjuncts else set())
-    skipped = 0
-    for store in stores_ascending(names, bound):
+    for store in stores(names, bound):
         try:
             if all(eval_expr(c, store) for c in conjuncts):
-                return False, skipped
+                return False
         except EvalError:
-            skipped += 1
-    return True, skipped
+            pass
+    return True
 
 
 def _normalize_fact(e: Expr) -> Expr:
@@ -168,7 +149,7 @@ class _Simplifier:
         probe = facts + top_conjuncts(antecedent) + top_conjuncts(consequent)
         key = tuple(probe)
         if key not in self._refute_cache:
-            self._refute_cache[key], _ = refuted(probe, self.cfg.refutation_bound)
+            self._refute_cache[key] = refuted(probe, self.cfg.refutation_bound)
         if self._refute_cache[key]:
             if self._spend():
                 self._fire("R5", facts, c, TRUE, heuristic=True)

@@ -84,16 +84,18 @@ The search tries counterexamples first.  The requirement 1 and 2 checks
 move the entry or run that refutes a candidate to the front of the list
 they were given, and the search passes its own lists again for the
 next candidate; the conditional prefilter does the same with its first
-transitions, and the finals search tries the last store that refuted a
-final before scanning.  A candidate passes only when it passes
-everywhere, so the order decides which counterexample is found, never
-whether one is: pass/fail, the iterations a passing step validates,
-``candidates_tried``, assignments and verdicts are those of a
-lexicographic scan.  Only the work counters of ``SolveStats``
-(``stores_tested``, ``eval_rejections``, ``step_truncations``) fall.
-The initials are evaluated once per run for each initial that holds,
-not once per step candidate.  ``check_requirements`` passes fresh
-lists in lexicographic order, so it reports the first counterexample.
+transitions.  A candidate passes only when it passes everywhere, so the
+order decides which counterexample is found, never whether one is:
+pass/fail, the iterations a passing step validates, ``candidates_tried``,
+assignments and verdicts are those of a scan smallest input first.
+Only the work counters of ``SolveStats`` (``stores_tested``,
+``eval_rejections``, ``step_truncations``) fall.  The finals search
+keeps no such list: its scan starts at the smallest stores, where a
+final is usually refuted.  The initials are evaluated once per run for
+each initial that holds, not once per step candidate.
+``check_requirements`` passes fresh lists in the order the runs were
+collected, smallest input first, so it reports the first counterexample
+in that order.
 """
 
 from __future__ import annotations
@@ -622,14 +624,10 @@ def _post_counterexample(
     post: Expr,
     cfg: SolverConfig,
     stats: SolveStats,
-    first: Store | None = None,
 ) -> Store | None:
     """Requirement 3 by exhausting stores over the relevant variables: the
     first store where the invariant instantiated with `final` and the exit
-    condition hold but `post` does not, or None.  `first`, restricted to
-    those variables (a missing one read as 0), is tried before the scan;
-    the scan visits that store too, so it changes which counterexample is
-    found, not whether one is."""
+    condition hold but `post` does not, or None."""
     inv = substitute(putative, dict(final))
     names = sorted(
         (free_vars(putative) - set(genvars))
@@ -638,8 +636,7 @@ def _post_counterexample(
         | set().union(*(free_vars(e) for e in final.values()))
     )
     exit_cond = Op("¬", (loop.cond,))
-    tried = [] if first is None else [{n: first.get(n, 0) for n in names}]
-    for store in itertools.chain(tried, stores(names, cfg.domain_bound)):
+    for store in stores(names, cfg.domain_bound):
         stats.stores_tested += 1
         if holds(inv, store) and holds(exit_cond, store) and not holds(post, store):
             return store
@@ -789,15 +786,9 @@ class _Search:
         pool = _pool(self.atoms, self.cfg.operator_pool)
         finals = (dict(zip(self.genvars, tup)) for tup in _tuples([pool] * len(self.genvars)))
 
-        last: Store | None = None  # the store that refuted the previous final
-
         def implies_post(final: dict[str, Expr]) -> bool:
-            nonlocal last
             args = (self.putative, self.genvars, final, self.loop, post, self.cfg, self.stats)
-            found = _post_counterexample(*args, first=last)
-            if found is not None:
-                last = found
-            return found is None
+            return _post_counterexample(*args) is None
 
         try:
             final = self._first(finals, implies_post)
@@ -919,8 +910,8 @@ def check_requirements(
     # Requirement 1: the initials make the invariant hold whenever the loop
     # is entered.  Requirement 2: the step walks every observed iteration;
     # a step error truncates a run only where _excused says so.
-    # Fresh lists, in lexicographic order, so each check reports its first
-    # counterexample.
+    # Fresh lists, in the order the runs were collected (smallest input
+    # first), so each check reports its first counterexample in that order.
     conjuncts = top_conjuncts(putative)
     entry = _entry_counterexample(conjuncts, assignment.initial, [r.entry for r in runs], stats)
     if entry is not None:

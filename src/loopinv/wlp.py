@@ -17,7 +17,9 @@ available:
   postcondition of the shape ``v = rhs`` acts as an assignment summary,
   so the loop contributes ``Q{v := rhs}``, provided Q mentions no
   body-assigned variable other than v and rhs mentions none at all.
-  When those side conditions fail the loop contributes its invariant.
+  A loop with no such summary is an ``UnannotatedLoop`` error: its
+  invariant, if it has one, is a putative formula over generalisation
+  variables, and standing for the loop it would drop Q.
 
 Block-scoped locals must not occur in the postcondition being pushed
 through the block; that is a hard error rather than a silent capture.
@@ -74,9 +76,8 @@ def wlp(st: Stmt, q: Expr, side: list[Obligation] | None = None) -> Expr:
 
     With a `side` list, every loop contributes its invariant and appends
     its preservation and exit obligations to `side`.  Without one, a
-    loop whose post summarises it contributes that summary, and any
-    other loop its invariant: an approximation for discovery, which
-    checks no loop.
+    loop must be summarised by its post and contributes that summary:
+    an approximation for discovery, which checks no loop.
     """
     return _wlp(st, q, (), side)
 
@@ -123,29 +124,27 @@ def _wlp(st: Stmt, q: Expr, after: tuple[While, ...], side: list[Obligation] | N
                 )
             return _wlp(body, q, after, side)
         case While(cond, body, invariant, post):
-            if side is None and post is not None:
+            if side is None:
                 summary = _summary_substitution(post, body, q)
-                if summary is not None:
-                    return substitute(q, summary)
+                if summary is None:
+                    where = "" if st.line is None else f" at line {st.line}"
+                    raise UnannotatedLoop(f"the loop{where} has no postcondition usable as a summary")
+                return substitute(q, summary)
             if invariant is None:
-                raise UnannotatedLoop(
-                    "loop has no invariant"
-                    + (" and its postcondition is not usable as a summary" if post is not None else "")
-                )
-            if side is not None:
-                kept = _wlp(body, invariant, (st,), side)
-                preservation = Op("⇒", (Op("∧", (cond, invariant)), kept))
-                side.append(Obligation(st, "preservation", preservation, first_loops(body, (st,))))
-                exit_ = Op("⇒", (Op("∧", (Op("¬", (cond,)), invariant)), q))
-                side.append(Obligation(st, "exit", exit_, after))
+                raise UnannotatedLoop("loop has no invariant")
+            kept = _wlp(body, invariant, (st,), side)
+            preservation = Op("⇒", (Op("∧", (cond, invariant)), kept))
+            side.append(Obligation(st, "preservation", preservation, first_loops(body, (st,))))
+            exit_ = Op("⇒", (Op("∧", (Op("¬", (cond,)), invariant)), q))
+            side.append(Obligation(st, "exit", exit_, after))
             return invariant
         case _:
             raise TypeError(f"not a Stmt: {st!r}")
 
 
-def _summary_substitution(post: Expr, body: Stmt, q: Expr) -> dict[str, Expr] | None:
+def _summary_substitution(post: Expr | None, body: Stmt, q: Expr) -> dict[str, Expr] | None:
     """If a loop post `v = rhs` can summarise the loop for q, return the
-    substitution {v: rhs}; otherwise None (caller falls back)."""
+    substitution {v: rhs}; otherwise None."""
     match post:
         case Op("=", (Var(v), rhs)):
             assigned = assigned_vars(body)

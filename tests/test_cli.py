@@ -132,9 +132,10 @@ def test_discover_nested_reports_both_loops(capsys, programs):
     assert out.count("verdict: verified up to bound 6") == 2
 
 
-# Discovery pulls a later or inner loop's target back through that loop.
-# Where the loop's post is no usable v = E summary, the loop stands for
-# its invariant alone; the post beyond it does not take part.
+# Discovery pulls a target back through a later or inner loop only by
+# that loop's v = E summary.  Where the loop has none, its putative
+# invariant (generalisation variables included) would stand in for the
+# target and drop the post beyond it, so the pull-back fails instead.
 LOOP_THEN_LOOP = """{n >= 0}
 x := 0;
 WHILE x < n DO
@@ -157,40 +158,27 @@ END
 {x = n}"""
 
 
-def test_discovery_through_a_later_loop_uses_its_invariant(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(LOOP_THEN_LOOP))
-    code, out, _ = run(capsys, "trace", "-")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[:2] == [
-        "loop at line 3:",
-        # the second loop's y+g3=x ∧ y+g3=n after y := 0
-        "  1. [Init] x≥n ∧ (0+g3=x ∧ 0+g3=n)  -- negated guard conjoined with the postcondition",
-    ]
+def test_discovery_stops_at_a_later_loop_without_summary(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(LOOP_THEN_LOOP))
     code, out, _ = run(capsys, "discover", "-")
-    assert code == 1
-    assert "  verdict: requirement 3 fails at n=0 x=0 y=0" in out.splitlines()[:6]
-
-
-def test_discovery_through_an_inner_loop_uses_its_invariant(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(INNER_WITHOUT_SUMMARY))
-    code, out, _ = run(capsys, "trace", "-")
-    assert code == 0
-    lines = out.splitlines()
-    # The outer body pulls back to the inner invariant after y := 0; the
-    # outer target x = n is gone from it, and so from the outer invariant.
-    assert lines[:5] == [
+    assert code == 2
+    assert out.splitlines()[:2] == [
         "loop at line 3:",
-        "  1. [Init] x≥n ∧ x=n  -- negated guard conjoined with the postcondition",
-        "  2. [WLPStep] 0+g3=x ∧ x≤0+g3  -- pulled back through the body; paths: 1",
-        "  3. [WLPStep] 0+g3=x ∧ x≤0+g3  -- pulled back through the body; paths: 1",
-        "  4. [RenamingFound] 0+g3=x ∧ x≤0+g3  -- renaming of approximation 2",
+        "  error: MissingPostcondition: no postcondition reaches this loop; "
+        "it needs a trailing {assertion}",
     ]
+    # The later loop has the program's post and is discovered as usual.
+    assert "  invariant: y+g3=x ∧ y+g3=n" in out.splitlines()
+
+
+def test_discovery_stops_at_an_inner_loop_without_summary(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(INNER_WITHOUT_SUMMARY))
     code, out, _ = run(capsys, "discover", "-")
-    assert code == 0
-    assert out.splitlines()[:2] == ["loop at line 3:", "  invariant: 0+g3=x ∧ x≤0+g3"]
+    assert code == 2
+    assert out.splitlines()[:2] == [
+        "loop at line 3:",
+        "  error: Wlp: the loop at line 6 has no postcondition usable as a summary",
+    ]
 
 
 def test_trace_numbers_steps(capsys, programs):
@@ -236,6 +224,16 @@ def test_verify_reports_counterexamples(capsys, tmp_path):
     # The global condition carries the loop's establishment.
     assert "global condition: fails at k=0 n=1 (establishes the loop at line 4)" in out.splitlines()
     assert "loop at line 4: exit holds" in out
+
+
+def test_verify_reports_a_counterexample_with_the_smallest_maximum(capsys, monkeypatch):
+    # Both x=0 y=5 and x=2 y=2 refute the post; the second has the smaller
+    # maximum, so it is the one reported.
+    src = "{x >= 0} SKIP {~(x = 0 /\\ y = 5) /\\ ~(x = 2 /\\ y = 2)}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(src))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 1
+    assert out.splitlines() == ["global condition: fails at x=2 y=2"]
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from loopinv.evaluator import (
     eval_expr,
     exec_stmt,
     holds,
+    stores,
 )
 from loopinv.parser import parse_expression, parse_program, pretty
 from loopinv.terms import (
@@ -235,6 +236,23 @@ def test_fuel_exhausted_run_records_no_visits():
     t = parse_program(NESTED)
     inner = next(st for st in substatements(t.program) if isinstance(st, While) and st.post)
     assert exec_stmt(t.program, {"n": 0, "i": 0, "j": 0}, fuel=4, watch=inner) == FuelExhausted()
+
+
+# --- store enumeration ------------------------------------------------------
+
+
+@given(st.lists(st.sampled_from("abcdefg"), unique=True, max_size=4), st.integers(0, 5))
+def test_stores_are_every_store_once_smallest_maximum_first(names, bound):
+    seen = list(stores(names, bound))
+    assert all(list(s) == names for s in seen)
+    values = [tuple(s.values()) for s in seen]
+    assert len(set(values)) == len(values) == (bound + 1) ** len(names)
+    assert all(v <= bound for vs in values for v in vs)
+    # Maxima never decrease; stores with equal maxima are in lexicographic order.
+    keys = [(max(vs, default=0), vs) for vs in values]
+    assert keys == sorted(keys)
+    if not names:
+        assert seen == [{}]
 
 
 # --- property: evaluation is a function of the store ------------------------

@@ -209,7 +209,7 @@ def test_simple_exponentiation_full_assignment():
     assert a.final[g_power] == Num(1)
     assert report.verdict == VerifiedUpToBound(bound=6)
     assert report.stats.candidates_tried == 675  # unconditional steps, joint finals
-    assert report.stats.stores_tested == 3721  # refuting entries and runs tried first
+    assert report.stats.stores_tested == 3572  # refuting entries and runs first, stores smallest first
     # Division by k truncates the k=0 runs rather than rejecting.
     assert report.stats.step_truncations > 0
 
@@ -244,15 +244,16 @@ def test_check_outcomes_do_not_depend_on_run_order():
         assert outcomes == {True, False}
         wrong = {g_count: Var("n"), g_power: Var("y")}
         for init, holds_on_entry in ((wrong, False), (initial, True)):
-            lexicographic = [r.entry for r in runs]
-            ref = _entry_counterexample(conjuncts, init, lexicographic, SolveStats())
+            collected_order = [r.entry for r in runs]
+            ref = _entry_counterexample(conjuncts, init, collected_order, SolveStats())
             got = _entry_counterexample(conjuncts, init, entries, SolveStats())
             assert (got is None) == (ref is None) == holds_on_entry
 
 
 def test_solve_leaves_collected_runs_in_order(monkeypatch):
-    # check_requirements reports the first counterexample in lexicographic
-    # order, so the search must reorder only its own lists.
+    # check_requirements reports the first counterexample in the order runs
+    # are collected (smallest input first), so the search must reorder
+    # only its own lists.
     collected = []
 
     def collect(*args, **kwargs):

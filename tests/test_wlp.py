@@ -115,12 +115,13 @@ x := 0
     assert out == e("y * k = y ^ 2")
 
 
-def test_substitute_mode_falls_back_when_summary_unusable():
+def test_substitute_mode_rejects_an_unusable_summary():
     # Post mentions z, which the body also assigns: the summary cannot
-    # stand for the whole effect, so the loop contributes its invariant.
+    # stand for the whole effect, and the invariant would drop the post.
     src = "{n >= 0} WHILE z < k DO {z <= k} z := z + 1 {z = k}"
     loop = prog(src)
-    assert wlp(loop, e("z = k")) == e("z <= k")
+    with pytest.raises(UnannotatedLoop):
+        wlp(loop, e("z = k"))
 
 
 def test_substitute_mode_without_any_annotation_fails():
