@@ -5,16 +5,21 @@ Usage (from the root of a checkout):
 
     python3 scripts/bench_pairs.py REV --workload search-deep --seconds 15 --seeds 1 2 3
 
-Checks REV out into a temporary ``git worktree``.  For each seed it runs
-``perfbench/run.py --workload W --seed S --seconds X --trace 0`` once on
-REV and once on the working tree, one after the other, and alternates
-from seed to seed which side runs first, so that a drift in the host's
-speed does not favour one side.  It prints every pair, then each side's
-median and quartiles for each end-to-end metric that ``BENCHMARK.json``
-declares, the pairs the working tree won on ``--metric``, and whether
-the two behaviour fingerprint digests matched in every pair, and exits
-1 when they did not.  The worktree is removed afterwards, also when a
-run fails.
+Writes plain copies of REV and of the working tree (``git stash create``,
+or HEAD when the tree is clean; untracked files are left out, so ``git
+add`` new ones first) with ``git archive`` into two temporary
+directories whose paths have equal length.  Peak RSS depends on where a
+checkout lies and what lies in it (a ``git worktree`` of the same code
+read 0.08 MB apart from the working tree), so both sides run from such
+copies.  For each seed it runs ``perfbench/run.py --workload W --seed S
+--seconds X --trace 0`` once on each copy, one after the other, and
+alternates from seed to seed which side runs first, so that a drift in
+the host's speed does not favour one side.  It prints every pair, then
+each side's median and quartiles for each end-to-end metric that
+``BENCHMARK.json`` declares, the pairs the working tree won on
+``--metric``, and whether the two behaviour fingerprint digests matched
+in every pair, and exits 1 when they did not.  The copies are removed
+afterwards, also when a run fails.
 
 The benchmark is run as it stands in each checkout; nothing under
 ``perfbench/`` is imported or changed.
@@ -33,6 +38,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = re.compile(r"^# fingerprint digest \(first pass, sorted\): (\S+)$", re.MULTILINE)
+
+
+def export(rev: str, dest: Path) -> None:
+    """The files of the commit `rev` in the new directory `dest`."""
+    dest.mkdir()
+    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar.stdout, check=True)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str, float], str]:
@@ -73,32 +85,29 @@ def main(argv: list[str] | None = None) -> int:
 
     sides: dict[str, list[dict[str, float]]] = {args.rev: [], "tree": []}
     pairs = []  # (rev's metric, the tree's metric, whether the digests match)
+    stash = subprocess.run(
+        ["git", "stash", "create"], cwd=ROOT, check=True, capture_output=True, text=True
+    )
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        checkout = Path(tmp) / "rev"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(checkout), args.rev],
-            cwd=ROOT, check=True, capture_output=True,
-        )
-        try:
-            for i, seed in enumerate(args.seeds):
-                order = [(args.rev, checkout), ("tree", ROOT)]
-                if i % 2:
-                    order.reverse()
-                got = {}
-                for side, path in order:
-                    got[side] = run_bench(path, args.workload, seed, args.seconds)
-                    sides[side].append(got[side][0])
-                (rev_m, rev_d), (tree_m, tree_d) = got[args.rev], got["tree"]
-                pairs.append((rev_m[args.metric], tree_m[args.metric], rev_d == tree_d))
-                print(
-                    f"seed {seed:3d} first {order[0][0]:>10s}  {args.metric} {args.rev} "
-                    f"{rev_m[args.metric]:.4g}  tree {tree_m[args.metric]:.4g}  "
-                    f"digests {'match' if rev_d == tree_d else 'DIFFER'} ({tree_d[:8]})",
-                    flush=True,
-                )
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(checkout)], cwd=ROOT)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
+        copies = {args.rev: Path(tmp) / "base", "tree": Path(tmp) / "tree"}  # equal lengths
+        export(args.rev, copies[args.rev])
+        export(stash.stdout.strip() or "HEAD", copies["tree"])
+        for i, seed in enumerate(args.seeds):
+            order = list(copies.items())
+            if i % 2:
+                order.reverse()
+            got = {}
+            for side, path in order:
+                got[side] = run_bench(path, args.workload, seed, args.seconds)
+                sides[side].append(got[side][0])
+            (rev_m, rev_d), (tree_m, tree_d) = got[args.rev], got["tree"]
+            pairs.append((rev_m[args.metric], tree_m[args.metric], rev_d == tree_d))
+            print(
+                f"seed {seed:3d} first {order[0][0]:>10s}  {args.metric} {args.rev} "
+                f"{rev_m[args.metric]:.4g}  tree {tree_m[args.metric]:.4g}  "
+                f"digests {'match' if rev_d == tree_d else 'DIFFER'} ({tree_d[:8]})",
+                flush=True,
+            )
 
     print(f"\n{args.workload}, {len(pairs)} pair(s), median [q1, q3]")
     for name in better:

@@ -89,9 +89,20 @@ order decides which counterexample is found, never whether one is:
 pass/fail, the iterations a passing step validates, ``candidates_tried``,
 assignments and verdicts are those of a scan smallest input first.
 Only the work counters of ``SolveStats`` (``stores_tested``,
-``eval_rejections``, ``step_truncations``) fall.  The finals search
-keeps no such list: its scan starts at the smallest stores, where a
-final is usually refuted.  The initials are evaluated once per run for
+``eval_rejections``, ``step_truncations``) fall.  Since almost every
+candidate is refuted at the front, it is first judged there by value
+alone (``_Front``): an initial at the front entry, a step at the first
+iteration of the front run, where its variable's value is fixed by the
+initial.  A template ``Op(op, (l, r))`` is worth ``op`` applied to the
+values of l and r, templates from the pool's lists of sizes 1 and 3,
+each evaluated once per front store; the test's outcome is kept per
+tuple of values.  A candidate refuted there is counted as the full check
+would count it and is never compiled, so only the templates that survive
+the front are.  A pass, a truncating step error and a template that is
+no arithmetic operator (a conditional step) go on to the full check,
+which tests the front store again and counts it itself.  The finals
+search keeps no such list: its scan starts at the smallest stores, where
+a final is usually refuted.  The initials are evaluated once per run for
 each initial that holds, not once per step candidate.
 ``check_requirements`` passes fresh lists in the order the runs were
 collected, smallest input first, so it reports the first counterexample
@@ -105,7 +116,9 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .evaluator import EvalError, Finished, Store, Visit, eval_expr, exec_stmt, holds, stores
+from .evaluator import (
+    ARITHMETIC, EvalError, Finished, Store, Visit, eval_expr, exec_stmt, holds, stores
+)
 from .parser import pretty
 from .terms import (
     NAT_OPS,
@@ -124,7 +137,7 @@ from .terms import (
     While,
     assigned_vars,
     free_vars,
-    program_vars,
+    global_vars,
     substatements,
     substitute,
     view,
@@ -270,7 +283,7 @@ def collect_trajectories(
     by object identity, so pass the node from the very program being run.
     Runs that do not finish cleanly are skipped."""
     stats = stats if stats is not None else SolveStats()
-    zeros = dict.fromkeys(sorted(program_vars(triple)), 0)
+    zeros = dict.fromkeys(sorted(global_vars(triple)), 0)
     runs: list[LoopRun] = []
     for inputs in stores(input_vars(triple), cfg.domain_bound):
         store = {**zeros, **inputs}
@@ -320,19 +333,24 @@ def _tuples(pools: list[Pool], max_size: int | None = None) -> Iterator[tuple[Ex
     once each earlier pool has yielded a template of its size."""
     k = len(pools)
     sizes = [s for s in _SIZES if max_size is None or s <= max_size]
-
-    def product(i: int, combo: tuple[int, ...]) -> Iterator[tuple[Expr, ...]]:
-        if i == k:
-            yield ()
-            return
-        for head in pools[i](combo[i]):
-            for rest in product(i + 1, combo):
-                yield (head, *rest)
-
     for total in range(k, sizes[-1] * k + 1):
         for combo in itertools.product(sizes, repeat=k):
-            if sum(combo) == total:
-                yield from product(0, combo)
+            if sum(combo) != total:
+                continue
+            # An odometer: levels[i] draws pool i's templates for the heads chosen before it.
+            heads: list[Expr] = []
+            levels = [iter(pools[0](combo[0]))]
+            while levels:
+                head = next(levels[-1], None)
+                if head is None:
+                    levels.pop()
+                    if heads:
+                        heads.pop()
+                elif len(levels) == k:
+                    yield (*heads, head)
+                else:
+                    heads.append(head)
+                    levels.append(iter(pools[len(levels)](combo[len(levels)])))
 
 
 # ---------------------------------------------------------------------------
@@ -538,18 +556,32 @@ def _entry_counterexample(
     refuting entry is moved to the front of `entries`, so that a caller
     passing the same list again tries it first."""
     for i, entry in enumerate(entries):
-        try:
-            gvals = {g: eval_expr(e, entry) for g, e in initial.items()}
-        except EvalError:
-            stats.eval_rejections += 1
-            _to_front(entries, i)
-            return entry
-        env = {**entry, **gvals}
-        stats.stores_tested += 1
-        if not all(holds(c, env) for c in conjuncts):
+        gvals = {g: _value(e, entry) for g, e in initial.items()}
+        if not _entry_holds(conjuncts, entry, gvals, stats):
             _to_front(entries, i)
             return entry
     return None
+
+
+def _value(e: Expr, env: Store) -> int | None:
+    """`e`'s value at `env`; None when it fails to evaluate."""
+    try:
+        return eval_expr(e, env)
+    except EvalError:
+        return None
+
+
+def _entry_holds(
+    conjuncts: list[Expr], entry: Store, gvals: dict[str, int | None], stats: SolveStats
+) -> bool:
+    """Requirement 1 at one entry store, given the initials' values there,
+    None where one fails to evaluate, which refutes it."""
+    if None in gvals.values():
+        stats.eval_rejections += 1
+        return False
+    stats.stores_tested += 1
+    env = {**entry, **gvals}
+    return all(holds(c, env) for c in conjuncts)
 
 
 Start = tuple[LoopRun, dict[str, int]]  # a run and the generalisation variables' initial values
@@ -570,13 +602,15 @@ def _iterate(
     `_excused` does not allow, or conjuncts failing at the post-store;
     (True, None) when a step error truncates the run; otherwise (True,
     the variables' next values)."""
-    gvals: dict[str, int] = {}
-    failed: list[str] = []
-    for g, e in step.items():
-        try:
-            gvals[g] = eval_expr(e, env_pre)
-        except EvalError:
-            failed.append(g)
+    return _advance(conjuncts, {g: _value(e, env_pre) for g, e in step.items()}, post, stats)
+
+
+def _advance(
+    conjuncts: list[Expr], nxt: dict[str, int | None], post: Store, stats: SolveStats
+) -> tuple[bool, dict[str, int] | None]:
+    """`_iterate` given the step's values, None where it fails to evaluate."""
+    gvals = {g: v for g, v in nxt.items() if v is not None}
+    failed = [g for g in nxt if g not in gvals]
     env_post = {**post, **gvals}
     if failed:
         if not _excused(failed, env_post, conjuncts):
@@ -643,6 +677,72 @@ def _post_counterexample(
     return None
 
 
+def _first_iteration(conjuncts: list[Expr], start: Start) -> tuple[Store, Callable] | None:
+    """The pre-store of a start's first iteration and requirement 2's test
+    of it, for `_Front`; None when the run has no iteration."""
+    run, gvals = start
+    if not run.transitions:
+        return None
+    pre, post = run.transitions[0]
+    return {**pre, **gvals}, lambda nxt, stats: _advance(conjuncts, nxt, post, stats)[0]
+
+
+class _Front:
+    """Requirement 1 or 2 at the front of `items` (the entries or starts
+    that the full check reorders) alone, decided by a candidate's values
+    there before it is compiled.  `prepare(item)` gives the store to
+    evaluate at and the full check's test of that one store, from values;
+    None when the item has none.  Operand values and outcomes are kept per
+    front item, for one search."""
+
+    def __init__(self, items: list, prepare: Callable, stats: SolveStats):
+        self.items, self.prepare, self.stats = items, prepare, stats
+        self.fronts: dict[int, tuple] = {}  # id(item) -> (item, prepared, operands, outcomes)
+
+    def refutes(self, candidate: dict[str, Expr]) -> bool:
+        """Whether `candidate` fails at the front, counted as the full check
+        counts it.  False when it passes there, when a step error truncates
+        the run, or when a template is neither an atom nor an arithmetic
+        operator: the full check decides those."""
+        if not self.items:
+            return False
+        item = self.items[0]
+        front = self.fronts.get(id(item))
+        if front is None:
+            front = self.fronts[id(item)] = (item, self.prepare(item), {}, {})
+        _, prepared, operands, outcomes = front
+        if prepared is None:
+            return False
+        env, check = prepared
+        values: list[int | None] = []
+        for t in candidate.values():
+            if type(t) in (Num, Var):  # compiled once for its pool
+                values.append(_value(t, env))
+                continue
+            if type(t) is not Op or t.op not in ARITHMETIC:
+                return False
+            # Op(op, (l, r)) is worth op applied to the values of l and r, kept
+            # with l and r themselves, so that their ids are not reused.
+            l, r = t.args
+            l = operands.get(id(l)) or operands.setdefault(id(l), (l, _value(l, env)))
+            r = operands.get(id(r)) or operands.setdefault(id(r), (r, _value(r, env)))
+            try:
+                values.append(None if None in (l[1], r[1]) else ARITHMETIC[t.op](l[1], r[1]))
+            except EvalError:
+                values.append(None)
+        key = tuple(values)
+        counts = outcomes.get(key)
+        if counts is None:
+            tally = SolveStats()
+            passes = check(dict(zip(candidate, key)), tally)
+            counts = outcomes[key] = () if passes else (tally.eval_rejections, tally.stores_tested)
+        if not counts:
+            return False
+        self.stats.eval_rejections += counts[0]
+        self.stats.stores_tested += counts[1]
+        return True
+
+
 # ---------------------------------------------------------------------------
 # Search
 
@@ -681,7 +781,8 @@ class _Search:
         self.runs = runs
         self.entries = [r.entry for r in runs]
         self.any_transition = any(r.transitions for r in runs)
-        self.atoms = [Num(v) for v in _LITERALS] + [Var(n) for n in sorted(program_vars(triple))]
+        names = global_vars(triple).union(*self.entries)  # those in scope at the loop head
+        self.atoms = [Num(v) for v in _LITERALS] + [Var(n) for n in sorted(names)]
         self.branch_cond = _top_branch(loop.body)
 
     def _spend(self) -> None:
@@ -708,11 +809,18 @@ class _Search:
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
         init_pool = _pool(self.atoms, self.cfg.operator_pool)
+        front = _Front(
+            self.entries,
+            lambda entry: (entry, functools.partial(_entry_holds, comp.conjuncts, entry)),
+            self.stats,
+        )
         some_initial_held = False
         try:
             for init_tuple in _tuples([init_pool] * len(comp.genvars)):
                 self._spend()
                 init = dict(zip(comp.genvars, init_tuple))
+                if front.refutes(init):
+                    continue
                 refuting = _entry_counterexample(comp.conjuncts, init, self.entries, self.stats)
                 if refuting is not None:
                     continue
@@ -743,7 +851,10 @@ class _Search:
         cap = 5 if conditional else None
         pools = [_pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
         steps = (dict(zip(comp.genvars, tup)) for tup in _tuples(pools, cap))
-        found = self._first(steps, lambda step: self._preserves(comp, starts, step))
+        front = _Front(starts, functools.partial(_first_iteration, comp.conjuncts), self.stats)
+        found = self._first(
+            steps, lambda step: not front.refutes(step) and self._preserves(comp, starts, step)
+        )
         if found is None and conditional:
             found = self._find_conditional_step(comp, starts, pools[0])
         return found

@@ -328,3 +328,26 @@ def program_vars(t: Triple) -> frozenset[str]:
             case Block(locs, _):
                 names.update(locs)
     return frozenset(names)
+
+
+def global_vars(t: Triple) -> frozenset[str]:
+    """The variables that a store holds before the program runs: those the
+    contracts mention, and those the program mentions outside the blocks
+    that declare them."""
+
+    def outer(st: Stmt) -> frozenset[str]:
+        match st:
+            case Assign(var, rhs):
+                return free_vars(rhs) | {var}
+            case Seq(a, b):
+                return outer(a) | outer(b)
+            case If(cond, a, b):
+                return free_vars(cond) | outer(a) | outer(b)
+            case While(cond, body):
+                return free_vars(cond) | outer(body)
+            case Block(locs, body):
+                return outer(body) - set(locs)
+            case _:
+                return frozenset()
+
+    return free_vars(t.pre) | free_vars(t.post) | outer(t.program)

@@ -181,6 +181,21 @@ def test_discovery_stops_at_an_inner_loop_without_summary(capsys, monkeypatch):
     ]
 
 
+def test_block_locals_stay_out_of_loop_head_stores(capsys, monkeypatch):
+    # t is declared in the loop body, so no store at the loop head holds it.
+    monkeypatch.setattr(
+        "sys.stdin",
+        io.StringIO(
+            "{n >= 0} x := 0; y := 0; WHILE x < n DO "
+            "BEGIN VAR t; t := x + 1; x := t; y := y + t END {x = n /\\ y = n}"
+        ),
+    )
+    code, out, _ = run(capsys, "discover", "-")
+    assert code == 2
+    assert "g4 is pinned to 1 on entry store {'n': 1, 'x': 0, 'y': 0}, but" in out
+    assert "'t'" not in out
+
+
 def test_trace_numbers_steps(capsys, programs):
     code, out, _ = run(capsys, "trace", str(programs / "exp_simple.imp"))
     assert code == 0

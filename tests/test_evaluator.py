@@ -8,11 +8,12 @@ the oracle.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopinv import evaluator
 from loopinv.evaluator import (
+    ARITHMETIC,
     MAX_BITS,
     EvalError,
     ExecError,
@@ -268,6 +269,33 @@ def test_eval_matches_python_semantics(a, b):
         assert eval_expr(e("a / b"), store) == a // b
         assert eval_expr(e("a % b"), store) == a % b
     assert eval_expr(e("a <= b"), store) == (a <= b)
+
+
+_naturals = st.integers(0, 70) | st.sampled_from([2**2048, 2**4095, 2**4096, 2**4097])
+
+
+@given(st.sampled_from(NAT_OPS), _naturals, _naturals)
+@example("/", 7, 0)
+@example("%", 0, 0)
+@example("^", 0, 0)
+@example("^", 2, 4096)
+@example("^", 2, 4095)
+@example("^", 2**4096, 1)
+@example("*", 2**4096, 2)
+@example("*", 2**4097, 0)
+@example("-", 3, 2**4097)
+def test_value_level_arithmetic_is_the_evaluators(op, x, y):
+    # The operators on values that the witness search applies to operand
+    # values agree with evaluation, errors and their kinds included.
+    def outcome(f):
+        try:
+            return f()
+        except EvalError as err:
+            return err.kind
+
+    assert set(ARITHMETIC) == set(NAT_OPS)
+    want = outcome(lambda: eval_expr(Op(op, (Num(x), Num(y))), {}))
+    assert outcome(lambda: ARITHMETIC[op](x, y)) == want
 
 
 # --- the tree-walking oracle ------------------------------------------------

@@ -1,7 +1,9 @@
 """Bounded-testing witness search for generalisation variables."""
 
+import functools
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,27 @@ def test_tuples_draw_templates_lazily():
     zero = Op("+", (Num(0), Num(0)))
     assert drawn == [Op("+", (zero, zero))]
     assert first7 == tuple(drawn)
+
+
+def reference_tuples(pools, max_size=None):
+    """Every tuple of each size combination, materialised."""
+    sizes = [s for s in (1, 3, 5, 7) if max_size is None or s <= max_size]
+    combos = sorted(itertools.product(sizes, repeat=len(pools)), key=sum)
+    for combo in combos:
+        yield from itertools.product(*(list(pool(s)) for pool, s in zip(pools, combo)))
+
+
+@pytest.mark.parametrize(
+    "atoms, max_size",
+    [
+        ([[Num(0), Var("a")], [Num(1)]], None),
+        ([[Num(0)], [Var("a"), Var("b")], [Num(1), Num(2)]], 5),
+        ([[Num(0), Var("a")], [Var("b")], [Num(2)]], 3),
+    ],
+)
+def test_tuples_match_a_reference_enumeration(atoms, max_size):
+    pools = [_pool(a, ("+", "^")) for a in atoms]
+    assert list(_tuples(pools, max_size)) == list(reference_tuples(pools, max_size))
 
 
 def test_tuple_candidates_ordered_by_total_size():
@@ -639,7 +662,160 @@ def test_swapped_accumulator_fails_before_any_candidate(programs):
     assert "does not mention y" in err.value.detail
 
 
-# --- conditional steps ----------------------------------------------------------------
+# --- the front check ------------------------------------------------------------------
+
+
+def solve_outcome(triple, d, cfg):
+    try:
+        report = solve(triple, d.node, d.putative, d.genvars, d.post, cfg)
+    except SolverFailure as err:
+        return err.requirement, err.detail, err.stats
+    return report.invariant, report.assignment, report.verdict, report.stats
+
+
+def assert_front_changes_nothing(source, cfg):
+    # Judging candidates at the front store first changes no outcome and
+    # no count: the full check alone must give the same ones.
+    annotated, found = annotate_program(parse_program(source))
+    loops = [d for d in found if d.putative is not None]
+    got = [solve_outcome(annotated, d, cfg) for d in loops]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Front, "refutes", lambda front, candidate: False)
+        assert got == [solve_outcome(annotated, d, cfg) for d in loops]
+
+
+def counting_loop(c, body, twin):
+    """A loop counting x up to n while y accumulates, with its closed-form
+    post, or that post plus one (an invalid twin)."""
+    update, post = body
+    post = post.format(c=c) + (" + 1" if twin else "")
+    return (
+        f"{{n >= 0}} x := 0; y := {c}; WHILE x < n DO BEGIN x := x + 1; y := {update} END "
+        f"{{y = {post}}}"
+    )
+
+
+counting_loops = st.builds(
+    counting_loop,
+    st.integers(0, 2),
+    st.sampled_from(
+        [
+            ("y + k", "n * k + {c}"),
+            ("y * k", "{c} * k ^ n"),
+            ("k * y", "{c} * k ^ n"),
+            ("y + 2", "2 * n + {c}"),
+            ("y * 2", "{c} * 2 ^ n"),
+            ("y + x + x + 1", "n * n + {c}"),
+            ("y - 1", "{c} - n"),
+        ]
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(counting_loops)
+def test_the_front_check_changes_no_outcome_on_counting_loops(source):
+    assert_front_changes_nothing(source, SolverConfig(domain_bound=3, max_candidates=5_000))
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.imp")), ids=lambda p: p.name
+)
+def test_the_front_check_changes_no_outcome_on_the_corpus(path):
+    # At bound 3 exp_binary_pos is solved through its conditional stage
+    # within the budget, and exp_binary exhausts it.
+    cfg = SolverConfig(domain_bound=3, max_candidates=60_000)
+    assert_front_changes_nothing(path.read_text(encoding="utf-8"), cfg)
+
+
+def recording_front(monkeypatch):
+    """Record each candidate that the front refutes, with whether it is a
+    step and whether any of its operator templates was compiled at that
+    moment (atoms are compiled once for their pool)."""
+    refuted = []
+    judge = solver._Front.refutes
+
+    def refutes(front, candidate):
+        ops = [t for t in candidate.values() if isinstance(t, Op)]
+        compiled = any("_closure" in vars(t) for t in ops)
+        if not judge(front, candidate):
+            return False
+        refuted.append((isinstance(front.items[0], tuple), candidate, compiled))
+        return True
+
+    monkeypatch.setattr(solver._Front, "refutes", refutes)
+    return refuted
+
+
+def size(t):
+    return 1 + sum(size(a) for a in t.args) if isinstance(t, Op) else 1
+
+
+def test_candidates_refuted_at_the_front_are_never_compiled(monkeypatch):
+    # Square-of-odds needs a step of size 7; the budget stops its search
+    # among those of size 5.
+    refuted = recording_front(monkeypatch)
+    annotated, d = discovered(SQUARE_OF_ODDS)
+    cfg = SolverConfig(domain_bound=2, max_candidates=3_000)
+    with pytest.raises(SolverFailure, match="budget"):
+        solve(annotated, d.node, d.putative, d.genvars, d.post, cfg)
+    assert not any(compiled for _, _, compiled in refuted)
+    steps = [t for is_step, c, _ in refuted if is_step for t in c.values()]
+    # Templates of size 5 and 7 are no other template's operand, so they
+    # stay uncompiled for good.
+    large = [t for t in steps if size(t) >= 5]
+    assert len(large) > 1_000 and not any("_closure" in vars(t) for t in large)
+
+
+def test_a_division_step_still_truncates_on_the_k0_runs():
+    # On a k = 0 run, g4/k fails where y*g4 = k^n admits every value of g4:
+    # the front leaves that to the full check, which truncates the run.
+    annotated, d = discovered(EXP_SIMPLE)
+    runs = collect_trajectories(annotated, d.node, SolverConfig())
+    conjuncts = top_conjuncts(d.putative)
+    g_count, g_power = d.genvars
+    starts = _starts({g_count: Var("n"), g_power: e("k ^ n")}, runs)
+    k0 = next(i for i, (run, _) in enumerate(starts) if run.entry["k"] == 0 and run.transitions)
+    starts.insert(0, starts.pop(k0))
+    stats = SolveStats()
+    front = solver._Front(starts, functools.partial(solver._first_iteration, conjuncts), stats)
+    step = {g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")}
+    assert not front.refutes(step)
+    assert stats == SolveStats()  # the full check counts the front itself
+    refuting, validated = _step_counterexample(conjuncts, step, starts, stats)
+    assert refuting is None and validated > 0 and stats.step_truncations > 0
+    # Where x + g3 = n pins g3's next value, the error of g3/k refutes.
+    stats = SolveStats()
+    front = solver._Front(starts, functools.partial(solver._first_iteration, conjuncts), stats)
+    assert front.refutes({g_count: e(f"{g_count} / k"), g_power: e(f"{g_power} / k")})
+    assert stats == SolveStats(eval_rejections=1)
+
+
+MULT = "{n >= 0} x := 0; y := 0; WHILE x < n DO BEGIN x := x + 1; y := y + k END {y = n * k}"
+
+
+def test_a_two_variable_component_is_judged_at_the_front(monkeypatch):
+    # Both conjuncts mention g1, so g1 and g2 are searched jointly, and
+    # the front judges each pair by the pair of its values.
+    t = parse_program(MULT)
+    loop = t.program.second.second
+    putative = e("x + g1 = n /\\ y + g2 * g1 = n * k")
+    cfg = SolverConfig(domain_bound=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Front, "refutes", lambda front, candidate: False)
+        expected = solve(t, loop, putative, ("g1", "g2"), t.post, cfg)
+    refuted = recording_front(monkeypatch)
+    report = solve(t, loop, putative, ("g1", "g2"), t.post, cfg)
+    assert (report.assignment, report.verdict, report.stats) == (
+        expected.assignment,
+        expected.verdict,
+        expected.stats,
+    )
+    assert report.assignment.initial == {"g1": Var("n"), "g2": Var("k")}
+    assert report.assignment.step == {"g1": e("g1 - 1"), "g2": Var("k")}
+    assert report.verdict == VerifiedUpToBound(4)
+    assert {is_step for is_step, candidate, _ in refuted if len(candidate) == 2} == {True, False}
 
 
 def test_branching_body_gets_conditional_step():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loopinv.parser import parse_program
 from loopinv.terms import (
     FALSE,
     TRUE,
@@ -24,6 +25,7 @@ from loopinv.terms import (
     assigned_vars,
     conjoin,
     free_vars,
+    global_vars,
     program_vars,
     renaming_of,
     sort_of,
@@ -169,6 +171,16 @@ def test_program_vars_covers_all_parts():
         eq(v("x"), v("n")),
     )
     assert program_vars(t) == {"n", "x"}
+
+
+def test_global_vars_leave_out_names_only_a_block_declares():
+    body_local = parse_program(
+        "{n >= 0} WHILE x < n DO BEGIN VAR t; t := x + 1; x := t END {x = n}"
+    )
+    assert global_vars(body_local) == {"n", "x"}
+    assert program_vars(body_local) == {"n", "t", "x"}
+    shadowing = parse_program("{n >= 0} t := 9; BEGIN VAR t, u; u := t END; y := t {n >= 0}")
+    assert global_vars(shadowing) == {"n", "t", "y"}
 
 
 def test_while_line_does_not_affect_equality():
