@@ -28,7 +28,9 @@ import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .terms import Assign, Block, Case, Ctor, Expr, If, Num, Op, Seq, Skip, Stmt, Var, While
+from .terms import (
+    NAT_OPS, Assign, Block, Case, Ctor, Expr, If, Num, Op, Seq, Skip, Stmt, Var, While
+)
 
 Store = dict[str, int]
 Visit = tuple[Store, ...]  # one visit to a loop: the store at each test of its guard
@@ -89,43 +91,38 @@ def _compiled(e: Expr) -> Compiled:
     return run
 
 
-def _times(x: int, y: int) -> int:
-    if (v := x * y).bit_length() > MAX_BITS:
-        raise EvalError("Overflow", f"* result wider than {MAX_BITS} bits")
-    return v
-
-
-def _power(x: int, y: int) -> int:
-    # x ≥ 2^(bitlen(x)-1): reject what must be too wide before computing.
-    too_wide = (x.bit_length() - 1) * y > MAX_BITS
-    if too_wide or (v := x**y).bit_length() > MAX_BITS:  # 0^0 = 1
-        raise EvalError("Overflow", f"^ result wider than {MAX_BITS} bits")
-    return v
-
-
-def _euclidean(op: str, f: Callable[[int, int], int]) -> Callable[[int, int], int]:
-    def run(x: int, y: int) -> int:
-        if y == 0:
-            raise EvalError("DivByZero", f"{op} by zero")
-        return f(x, y)
+def _times(a: Compiled, b: Compiled) -> Compiled:
+    def run(s):
+        if (v := a(s) * b(s)).bit_length() > MAX_BITS:
+            raise EvalError("Overflow", f"* result wider than {MAX_BITS} bits")
+        return v
 
     return run
 
 
-# The arithmetic operators on values, for callers that hold their operands'
-# values rather than an expression; the compiled closures apply the same.
-ARITHMETIC: dict[str, Callable[[int, int], int]] = {
-    "+": operator.add,
-    "-": lambda x, y: max(x - y, 0),  # monus
-    "*": _times,
-    "^": _power,
-    "/": _euclidean("/", operator.floordiv),
-    "%": _euclidean("%", operator.mod),
-}
+def _power(a: Compiled, b: Compiled) -> Compiled:
+    def run(s):
+        x, y = a(s), b(s)
+        # x ≥ 2^(bitlen(x)-1): reject what must be too wide before computing.
+        too_wide = (x.bit_length() - 1) * y > MAX_BITS
+        if too_wide or (v := x**y).bit_length() > MAX_BITS:  # 0^0 = 1
+            raise EvalError("Overflow", f"^ result wider than {MAX_BITS} bits")
+        return v
+
+    return run
 
 
-def _applied(f: Callable[[int, int], int]) -> Callable[..., Compiled]:
-    return lambda a, b: lambda s: f(a(s), b(s))
+def _euclidean(op: str, f: Callable[[int, int], int]) -> Callable[..., Compiled]:
+    def make(a: Compiled, b: Compiled) -> Compiled:
+        def run(s):
+            x, y = a(s), b(s)
+            if y == 0:
+                raise EvalError("DivByZero", f"{op} by zero")
+            return f(x, y)
+
+        return run
+
+    return make
 
 
 # Operator → factory of its closure from the operands' closures.  Operands
@@ -135,13 +132,27 @@ _OPS: dict[str, Callable[..., Compiled]] = {
     "∧": lambda a, b: lambda s: a(s) and bool(b(s)),
     "∨": lambda a, b: lambda s: a(s) or bool(b(s)),
     "⇒": lambda a, b: lambda s: (not a(s)) or bool(b(s)),
-    **{op: _applied(f) for op, f in ARITHMETIC.items()},
+    "+": lambda a, b: lambda s: a(s) + b(s),
+    "-": lambda a, b: lambda s: max(a(s) - b(s), 0),  # monus
+    "*": _times,
+    "^": _power,
+    "/": _euclidean("/", operator.floordiv),
+    "%": _euclidean("%", operator.mod),
     "<": lambda a, b: lambda s: a(s) < b(s),
     ">": lambda a, b: lambda s: a(s) > b(s),
     "≤": lambda a, b: lambda s: a(s) <= b(s),
     "≥": lambda a, b: lambda s: a(s) >= b(s),
     "=": lambda a, b: lambda s: a(s) == b(s),
     "≠": lambda a, b: lambda s: a(s) != b(s),
+}
+
+
+# The arithmetic operators on values, for callers that hold their operands'
+# values rather than expressions: each is its operator's closure over the two
+# halves of a pair, so `ARITHMETIC["-"]((2, 5))` is 0, and the conventions
+# above keep one owner.
+ARITHMETIC: dict[str, Callable[[tuple[int, int]], int]] = {
+    op: _OPS[op](operator.itemgetter(0), operator.itemgetter(1)) for op in NAT_OPS
 }
 
 

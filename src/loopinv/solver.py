@@ -93,10 +93,10 @@ Only the work counters of ``SolveStats`` (``stores_tested``,
 candidate is refuted at the front, it is first judged there by value
 alone (``_Front``): an initial at the front entry, a step at the first
 iteration of the front run, where its variable's value is fixed by the
-initial.  A template ``Op(op, (l, r))`` is worth ``op`` applied to the
-values of l and r, templates from the pool's lists of sizes 1 and 3,
-each evaluated once per front store; the test's outcome is kept per
-tuple of values.  A candidate refuted there is counted as the full check
+initial.  A template ``Op(op, (l, r))`` is worth ``op``
+(``evaluator.ARITHMETIC``) applied to the values of l and r, templates
+from the pool's lists of sizes 1 and 3, each evaluated once per front
+store; the test's outcome is kept per tuple of values.  A candidate refuted there is counted as the full check
 would count it and is never compiled, so only the templates that survive
 the front are.  A pass, a truncating step error and a template that is
 no arithmetic operator (a conditional step) go on to the full check,
@@ -726,8 +726,9 @@ class _Front:
             l, r = t.args
             l = operands.get(id(l)) or operands.setdefault(id(l), (l, _value(l, env)))
             r = operands.get(id(r)) or operands.setdefault(id(r), (r, _value(r, env)))
+            pair = (l[1], r[1])
             try:
-                values.append(None if None in (l[1], r[1]) else ARITHMETIC[t.op](l[1], r[1]))
+                values.append(None if None in pair else ARITHMETIC[t.op](pair))
             except EvalError:
                 values.append(None)
         key = tuple(values)

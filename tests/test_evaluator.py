@@ -285,8 +285,8 @@ _naturals = st.integers(0, 70) | st.sampled_from([2**2048, 2**4095, 2**4096, 2**
 @example("*", 2**4097, 0)
 @example("-", 3, 2**4097)
 def test_value_level_arithmetic_is_the_evaluators(op, x, y):
-    # The operators on values that the witness search applies to operand
-    # values agree with evaluation, errors and their kinds included.
+    # The operators on values, which the witness search applies to operand
+    # values, agree with evaluation, errors and their kinds included.
     def outcome(f):
         try:
             return f()
@@ -295,7 +295,7 @@ def test_value_level_arithmetic_is_the_evaluators(op, x, y):
 
     assert set(ARITHMETIC) == set(NAT_OPS)
     want = outcome(lambda: eval_expr(Op(op, (Num(x), Num(y))), {}))
-    assert outcome(lambda: ARITHMETIC[op](x, y)) == want
+    assert outcome(lambda: ARITHMETIC[op]((x, y))) == want
 
 
 # --- the tree-walking oracle ------------------------------------------------

@@ -719,9 +719,10 @@ def test_the_front_check_changes_no_outcome_on_counting_loops(source):
     assert_front_changes_nothing(source, SolverConfig(domain_bound=3, max_candidates=5_000))
 
 
-@pytest.mark.parametrize(
-    "path", sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.imp")), ids=lambda p: p.name
-)
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.imp"))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_the_front_check_changes_no_outcome_on_the_corpus(path):
     # At bound 3 exp_binary_pos is solved through its conditional stage
     # within the budget, and exp_binary exhausts it.
