@@ -819,6 +819,9 @@ def test_a_two_variable_component_is_judged_at_the_front(monkeypatch):
     assert {is_step for is_step, candidate, _ in refuted if len(candidate) == 2} == {True, False}
 
 
+# --- conditional steps ----------------------------------------------------------------
+
+
 def test_branching_body_gets_conditional_step():
     src = """{n >= 1}
 x := n;
