@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Profile one benchmark pass of loopinv under cProfile.
+
+Usage (from the root of a checkout):
+
+    python3 scripts/profile_pass.py WORKLOAD [--seed N] [--sort tottime]
+
+Generates the programs of one pass of WORKLOAD (``search-shallow``,
+``search-deep`` or ``check-only``) with ``perfbench/workloads.generate``
+and runs each through ``loopinv.cli.main`` as the benchmark does (source
+on stdin, ``--format json``).  It first runs the pass once counting the
+``Op`` nodes built and the ``Op`` nodes compiled into closures, then runs
+it again under cProfile and prints the 25 functions that rank highest by
+``--sort`` (any ``pstats`` key; default ``tottime``).  The counting pass
+runs without the profiler and the profiled pass without the counters, so
+neither distorts the other.  Nothing under ``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import cProfile
+import io
+import pstats
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from loopinv import cli, evaluator  # noqa: E402
+from loopinv.terms import Op  # noqa: E402
+
+
+def run_pass(programs: list[workloads.Program]) -> None:
+    for p in programs:
+        saved, sys.stdin = sys.stdin, io.StringIO(p.text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli.main([p.mode, "-", *p.flags, "--format", "json"])
+        finally:
+            sys.stdin = saved
+
+
+def count_nodes(programs: list[workloads.Program]) -> tuple[int, int]:
+    """The Op nodes built and compiled during one pass."""
+    built = compiled = 0
+    post_init, compile_ = Op.__post_init__, evaluator._compiled
+
+    def counting_post_init(node: Op) -> None:
+        nonlocal built
+        built += 1
+        post_init(node)
+
+    def counting_compile(e):
+        nonlocal compiled
+        compiled += type(e) is Op and "_closure" not in vars(e)
+        return compile_(e)
+
+    Op.__post_init__, evaluator._compiled = counting_post_init, counting_compile
+    try:
+        run_pass(programs)
+    finally:
+        Op.__post_init__, evaluator._compiled = post_init, compile_
+    return built, compiled
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload", choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--sort", default="tottime", help="a pstats sort key")
+    args = ap.parse_args(argv)
+
+    programs = workloads.generate(args.workload, args.seed)
+    built, compiled = count_nodes(programs)
+    print(f"{args.workload} seed {args.seed}: {len(programs)} programs")
+    print(f"Op nodes built {built:,}, compiled {compiled:,}")
+    profile = cProfile.Profile()
+    profile.runcall(run_pass, programs)
+    pstats.Stats(profile, stream=sys.stdout).sort_stats(args.sort).print_stats(25)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -191,6 +191,13 @@ def _discover(triple: Triple, args: argparse.Namespace) -> int:
             code = max(code, EXIT_NO_INVARIANT)
             continue
         assert report.assignment is not None
+        skipped, collected = report.stats.runs_skipped, report.stats.runs_collected
+        if skipped:
+            warnings.append(
+                f"loop at {_location(d)}: {skipped} runs were skipped (out of fuel or an "
+                f"evaluation error) and {collected} collected; the verdict rests on the "
+                "collected runs alone"
+            )
         if report.invariant != d.putative:  # coarsened: the derived one has no witness
             info["invariant"] = pretty(report.invariant)
             info["derived_invariant"] = pretty(d.putative)

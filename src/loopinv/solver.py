@@ -18,11 +18,12 @@ on every input store within the domain bound whose values satisfy the
 precondition.  A template is an atom (the literal 0, 1 or 2, a program
 variable, and for a step the variable's previous value) or an operator
 over two templates of operator depth ≤ 1, so its size is 1, 3, 5 or 7;
-``_pool`` and ``_tuples`` give the order.  Templates are generated as
-the enumeration reaches them: only sizes 1 and 3 are held as lists,
-since six operators over nine atoms give about 1.4 million of size 7.
-Everything is a bounded check over the naturals, so a positive verdict
-is "verified up to the bound", never a proof.
+``_Pool`` and ``_tuples`` give the order.  Only sizes 1 and 3 are held
+as lists, since six operators over nine atoms give about 1.4 million of
+size 7; a larger size is enumerated as rows (an operator, a left template
+and a list of right ones), building a node only when asked.  Everything
+is a bounded check over the naturals, so a positive verdict is "verified
+up to the bound", never a proof.
 
 Errors during testing are treated asymmetrically, matching their
 meaning.  A candidate initial (or final) whose evaluation fails on a
@@ -93,17 +94,20 @@ Only the work counters of ``SolveStats`` (``stores_tested``,
 candidate is refuted at the front, it is first judged there by value
 alone (``_Front``): an initial at the front entry, a step at the first
 iteration of the front run, where its variable's value is fixed by the
-initial.  A template ``Op(op, (l, r))`` is worth ``op``
-(``evaluator.ARITHMETIC``) applied to the values of l and r, templates
-from the pool's lists of sizes 1 and 3, each evaluated once per front
-store; the test's outcome is kept per tuple of values.  A candidate refuted there is counted as the full check
-would count it and is never compiled, so only the templates that survive
-the front are.  A pass, a truncating step error and a template that is
-no arithmetic operator (a conditional step) go on to the full check,
-which tests the front store again and counts it itself.  The finals
-search keeps no such list: its scan starts at the smallest stores, where
-a final is usually refuted.  The initials are evaluated once per run for
-each initial that holds, not once per step candidate.
+initial.  A candidate's last template is scanned by rows
+(``_Search._survivors``): at each front store the atoms are evaluated,
+the templates of size 3 are valued from them by ``evaluator.ARITHMETIC``
+when first needed, and a row's template is its operator applied to two
+such values.  The test's outcome is kept per tuple of values.  A refuted
+candidate is never built; its counts reach ``SolveStats`` before the
+next survivor and before the budget runs out, so every count, and the
+candidate the budget stops at, are those of the full check alone.  A
+pass and a truncating step error go on to the full check, which counts
+the front store itself and may put another item in front.  The finals
+and the conditional steps skip the front: the finals scan starts at the
+smallest stores, where a final is usually refuted.  The initials are
+evaluated once per run for each initial that holds, not once per step
+candidate.
 ``check_requirements`` passes fresh lists in the order the runs were
 collected, smallest input first, so it reports the first counterexample
 in that order.
@@ -155,6 +159,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.domain_bound < 1:
             raise ValueError("bounds must be positive")
+        if not set(self.operator_pool) <= set(ARITHMETIC):
+            raise ValueError("template operators must be arithmetic")
 
 
 @dataclass
@@ -305,25 +311,40 @@ def collect_trajectories(
 _LITERALS = (0, 1, 2)
 _SIZES = (1, 3, 5, 7)  # the template sizes of operator depth ≤ 2
 Pool = Callable[[int], Iterable[Expr]]  # the templates of one size, in order
+Row = tuple[str | None, int, int, int]  # (op, ls, i, rs); see _Pool
 
 
-def _pool(atoms: list[Expr], ops: tuple[str, ...]) -> Pool:
+class _Pool:
     """Templates over `atoms` by size.  One of size n > 1 is `Op(op, (l, r))`
     with l and r of size 1 or 3 summing to n-1, ordered by operator, then
-    left size, then left, then right.  Sizes 1 and 3 are kept as lists; a
-    larger size is generated lazily, afresh each time it is asked for."""
-    lists = {1: list(atoms)}
+    left size, then left, then right.  A row `(op, ls, i, rs)` is op over
+    the left `lists[ls][i]` and each right of `lists[rs]`; size 1 is the row
+    `(None, 1, 0, 1)` of the atoms.  Sizes 1 and 3 are kept as lists; the
+    pool called for a larger size builds its templates lazily."""
 
-    def compose(n: int) -> Iterator[Expr]:
-        for op in ops:
+    def __init__(self, atoms: list[Expr], ops: tuple[str, ...]):
+        self.ops = ops
+        self.lists = {1: list(atoms)}
+        self.lists[3] = list(self(3))
+
+    def __call__(self, n: int) -> Iterable[Expr]:
+        if n in self.lists:
+            return self.lists[n]
+        return (Op(op, (self.lists[ls][i], r)) for op, ls, i, rs in self.rows(n) for r in self.lists[rs])
+
+    def rows(self, n: int) -> Iterator[Row]:
+        if n == 1:
+            yield None, 1, 0, 1
+        for op in self.ops if n > 1 else ():
             for ls in (1, 3):
-                if ls in lists and n - 1 - ls in lists:
-                    for l in lists[ls]:
-                        for r in lists[n - 1 - ls]:
-                            yield Op(op, (l, r))
+                if n - 1 - ls in self.lists:
+                    for i in range(len(self.lists[ls])):
+                        yield op, ls, i, n - 1 - ls
 
-    lists[3] = list(compose(3))
-    return lambda n: lists[n] if n in lists else compose(n)
+    def template(self, row: Row, j: int) -> Expr:
+        op, ls, i, rs = row
+        r = self.lists[rs][j]
+        return r if op is None else Op(op, (self.lists[ls][i], r))
 
 
 def _tuples(pools: list[Pool], max_size: int | None = None) -> Iterator[tuple[Expr, ...]]:
@@ -687,61 +708,80 @@ def _first_iteration(conjuncts: list[Expr], start: Start) -> tuple[Store, Callab
     return {**pre, **gvals}, lambda nxt, stats: _advance(conjuncts, nxt, post, stats)[0]
 
 
+class _Values(dict):
+    """A pool's templates of sizes 1 and 3 valued at `env` by size, None
+    where one fails: worked out on first use, size 3 from size 1 by
+    `evaluator.ARITHMETIC`, so that only the atoms are compiled."""
+
+    def __init__(self, pool: _Pool, env: Store):
+        super().__init__()
+        self.pool, self.env = pool, env
+
+    def __missing__(self, size: int) -> list[int | None]:
+        if size == 1:
+            values = [_value(a, self.env) for a in self.pool.lists[1]]
+        else:
+            values = [v for row in self.pool.rows(3) for v in self.row(row)]
+        self[size] = values
+        return values
+
+    def row(self, row: Row, start: int = 0) -> Iterator[int | None]:
+        """The values of the row's templates from the start-th on."""
+        op, ls, i, rs = row
+        rights = itertools.islice(self[rs], start, None)
+        if op is None:
+            yield from rights
+            return
+        lv, apply = self[ls][i], ARITHMETIC[op]
+        for rv in rights:
+            try:
+                v = None if lv is None or rv is None else apply((lv, rv))
+            except EvalError:
+                v = None
+            yield v
+
+
 class _Front:
     """Requirement 1 or 2 at the front of `items` (the entries or starts
-    that the full check reorders) alone, decided by a candidate's values
-    there before it is compiled.  `prepare(item)` gives the store to
-    evaluate at and the full check's test of that one store, from values;
-    None when the item has none.  Operand values and outcomes are kept per
-    front item, for one search."""
+    that the full check reorders) alone, judged by value.  `prepare(item)`
+    gives the store to evaluate at and the full check's test of that one
+    store, from values; None when the item has none."""
 
-    def __init__(self, items: list, prepare: Callable, stats: SolveStats):
-        self.items, self.prepare, self.stats = items, prepare, stats
-        self.fronts: dict[int, tuple] = {}  # id(item) -> (item, prepared, operands, outcomes)
+    def __init__(self, items: list, prepare: Callable, pool: _Pool):
+        self.items, self.prepare, self.pool = items, prepare, pool
+        self.fronts: dict[int, tuple | None] = {}  # by id: items are reordered, never dropped
 
-    def refutes(self, candidate: dict[str, Expr]) -> bool:
-        """Whether `candidate` fails at the front, counted as the full check
-        counts it.  False when it passes there, when a step error truncates
-        the run, or when a template is neither an atom nor an arithmetic
-        operator: the full check decides those."""
+    def current(self) -> tuple[_Values, Callable, dict] | None:
+        """The front item's `_Values` of the last pool, test and outcomes by
+        tuple of values, kept for the search; None when it judges nothing."""
         if not self.items:
-            return False
+            return None
         item = self.items[0]
-        front = self.fronts.get(id(item))
-        if front is None:
-            front = self.fronts[id(item)] = (item, self.prepare(item), {}, {})
-        _, prepared, operands, outcomes = front
-        if prepared is None:
-            return False
-        env, check = prepared
-        values: list[int | None] = []
-        for t in candidate.values():
-            if type(t) in (Num, Var):  # compiled once for its pool
-                values.append(_value(t, env))
-                continue
-            if type(t) is not Op or t.op not in ARITHMETIC:
-                return False
-            # Op(op, (l, r)) is worth op applied to the values of l and r, kept
-            # with l and r themselves, so that their ids are not reused.
-            l, r = t.args
-            l = operands.get(id(l)) or operands.setdefault(id(l), (l, _value(l, env)))
-            r = operands.get(id(r)) or operands.setdefault(id(r), (r, _value(r, env)))
-            pair = (l[1], r[1])
-            try:
-                values.append(None if None in pair else ARITHMETIC[t.op](pair))
-            except EvalError:
-                values.append(None)
-        key = tuple(values)
-        counts = outcomes.get(key)
-        if counts is None:
-            tally = SolveStats()
-            passes = check(dict(zip(candidate, key)), tally)
-            counts = outcomes[key] = () if passes else (tally.eval_rejections, tally.stores_tested)
-        if not counts:
-            return False
-        self.stats.eval_rejections += counts[0]
-        self.stats.stores_tested += counts[1]
-        return True
+        if id(item) not in self.fronts:
+            prepared = self.prepare(item)
+            self.fronts[id(item)] = prepared and (_Values(self.pool, prepared[0]), prepared[1], {})
+        return self.fronts[id(item)]
+
+    def judge(
+        self, genvars: tuple[str, ...], heads: list[Expr], row: Row, start: int
+    ) -> Iterator[tuple[int, ...]]:
+        """For each template of the last pool's `row` from the start-th on,
+        after `heads`: the (eval_rejections, stores_tested) that refuting the
+        candidate at the front counts, or () when the full check decides."""
+        judged = self.current()
+        if judged is None:
+            yield from itertools.repeat((), len(self.pool.lists[row[3]]) - start)
+            return
+        values, check, outcomes = judged
+        head = tuple(_value(h, values.env) for h in heads)
+        for v in values.row(row, start):
+            key = head + (v,)
+            counts = outcomes.get(key)
+            if counts is None:
+                tally = SolveStats()
+                passes = check(dict(zip(genvars, key)), tally)
+                counts = outcomes[key] = () if passes else (tally.eval_rejections, tally.stores_tested)
+            yield counts
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +842,47 @@ class _Search:
                 return candidate
         return None
 
+    def _survivors(
+        self, genvars: tuple[str, ...], pools: list[_Pool], front: _Front, max_size: int | None = None
+    ) -> Iterator[dict[str, Expr]]:
+        """The candidates of `_tuples(pools, max_size)` over `genvars` that
+        `front` leaves to the full check, the last pool scanned by rows.
+        Each spends a unit of budget, and a refuted one adds its counts,
+        kept here until a survivor is yielded or `_Budget` raised."""
+        stats, last = self.stats, pools[-1]
+        tried = rejected = tested = 0
+
+        def flush() -> None:
+            nonlocal tried, rejected, tested
+            stats.candidates_tried += tried
+            stats.eval_rejections += rejected
+            stats.stores_tested += tested
+            tried = rejected = tested = 0
+
+        room = self.cfg.max_candidates - stats.candidates_tried
+        # The last pool gives just the size asked for; its rows are scanned here.
+        for *heads, n in _tuples([*pools[:-1], lambda n: (n,)], max_size):
+            for row in last.rows(n):
+                j = 0
+                while True:
+                    for counts in front.judge(genvars, heads, row, j):
+                        tried += 1
+                        if tried > room:
+                            flush()
+                            raise _Budget()
+                        if not counts:
+                            break
+                        rejected += counts[0]
+                        tested += counts[1]
+                        j += 1
+                    else:
+                        break
+                    flush()
+                    yield dict(zip(genvars, (*heads, last.template(row, j))))
+                    room = self.cfg.max_candidates - stats.candidates_tried
+                    j += 1  # the full check may have moved another item to the front
+        flush()
+
     def _preserves(self, comp: _Component, starts: list[Start], step: dict[str, Expr]) -> bool:
         """Requirement 2, plus the search's own demand that the step
         validate at least one iteration when there are any."""
@@ -809,21 +890,16 @@ class _Search:
         return refuting is None and (validated > 0 or not self.any_transition)
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
-        init_pool = _pool(self.atoms, self.cfg.operator_pool)
+        init_pool = _Pool(self.atoms, self.cfg.operator_pool)
         front = _Front(
             self.entries,
             lambda entry: (entry, functools.partial(_entry_holds, comp.conjuncts, entry)),
-            self.stats,
+            init_pool,
         )
         some_initial_held = False
         try:
-            for init_tuple in _tuples([init_pool] * len(comp.genvars)):
-                self._spend()
-                init = dict(zip(comp.genvars, init_tuple))
-                if front.refutes(init):
-                    continue
-                refuting = _entry_counterexample(comp.conjuncts, init, self.entries, self.stats)
-                if refuting is not None:
+            for init in self._survivors(comp.genvars, [init_pool] * len(comp.genvars), front):
+                if _entry_counterexample(comp.conjuncts, init, self.entries, self.stats) is not None:
                     continue
                 some_initial_held = True
                 starts = _starts(init, self.runs)
@@ -850,12 +926,10 @@ class _Search:
         # With a branching body, cap unconditional templates so the
         # conditional stage is reachable within the budget.
         cap = 5 if conditional else None
-        pools = [_pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
-        steps = (dict(zip(comp.genvars, tup)) for tup in _tuples(pools, cap))
-        front = _Front(starts, functools.partial(_first_iteration, comp.conjuncts), self.stats)
-        found = self._first(
-            steps, lambda step: not front.refutes(step) and self._preserves(comp, starts, step)
-        )
+        pools = [_Pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
+        front = _Front(starts, functools.partial(_first_iteration, comp.conjuncts), pools[-1])
+        steps = self._survivors(comp.genvars, pools, front, cap)
+        found = next((step for step in steps if self._preserves(comp, starts, step)), None)
         if found is None and conditional:
             found = self._find_conditional_step(comp, starts, pools[0])
         return found
@@ -895,7 +969,7 @@ class _Search:
         return self._first(steps, lambda step: self._preserves(comp, starts, step))
 
     def solve_finals(self, post: Expr) -> dict[str, Expr]:
-        pool = _pool(self.atoms, self.cfg.operator_pool)
+        pool = _Pool(self.atoms, self.cfg.operator_pool)
         finals = (dict(zip(self.genvars, tup)) for tup in _tuples([pool] * len(self.genvars)))
 
         def implies_post(final: dict[str, Expr]) -> bool:

@@ -96,6 +96,31 @@ def test_discover_swapped_warns_and_fails(capsys, programs):
     )
 
 
+@pytest.mark.parametrize(
+    "source, skipped, collected",
+    [
+        # n = 4, 5 and 6 overflow the power.
+        ("{n >= 0} x := 2; i := 0; WHILE i < n DO BEGIN x := x ^ x; i := i + 1 END {i = n}", 3, 4),
+        # Every run exhausts its fuel.
+        ("{n >= 0} x := 0; WHILE x >= 0 DO x := x + 1 {x = 7}", 7, 0),
+    ],
+)
+def test_discover_warns_about_skipped_runs(capsys, monkeypatch, source, skipped, collected):
+    warning = (
+        f"loop at line 1: {skipped} runs were skipped (out of fuel or an evaluation error) and "
+        f"{collected} collected; the verdict rests on the collected runs alone"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code, out, _ = run(capsys, "discover", "-")
+    assert code == 0
+    assert "verdict: verified up to bound 6" in out
+    assert f"warning: {warning}" in out
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code, out, _ = run(capsys, "discover", "-", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == [warning]
+
+
 SQUARE_OF_ODDS = """{n >= 0}
 x := 0;
 y := 0;

@@ -23,7 +23,7 @@ from loopinv.solver import (
     _NONE,
     _coarsen,
     _iterate,
-    _pool,
+    _Pool,
     _entry_counterexample,
     _solve_for,
     _starts,
@@ -147,7 +147,7 @@ def test_nonterminating_inputs_are_skipped_and_counted():
 def test_templates_ordered_by_size_then_structure():
     ops = ("+", "-")
     atoms = [Num(0), Var("a")]
-    pool = _pool(atoms, ops)
+    pool = _Pool(atoms, ops)
     assert list(pool(1)) == atoms
     size3 = list(pool(3))
     assert size3[:4] == [
@@ -170,7 +170,7 @@ def test_templates_ordered_by_size_then_structure():
 
 
 def test_tuples_draw_templates_lazily():
-    pool = _pool([Num(0), Var("a")], ("+", "-"))
+    pool = _Pool([Num(0), Var("a")], ("+", "-"))
     drawn = []
 
     def counting(n):
@@ -202,12 +202,18 @@ def reference_tuples(pools, max_size=None):
     ],
 )
 def test_tuples_match_a_reference_enumeration(atoms, max_size):
-    pools = [_pool(a, ("+", "^")) for a in atoms]
+    pools = [_Pool(a, ("+", "^")) for a in atoms]
     assert list(_tuples(pools, max_size)) == list(reference_tuples(pools, max_size))
 
 
+def test_template_operators_must_be_arithmetic():
+    # The front values a template by its operator's ARITHMETIC closure.
+    with pytest.raises(ValueError, match="arithmetic"):
+        SolverConfig(operator_pool=("+", "<"))
+
+
 def test_tuple_candidates_ordered_by_total_size():
-    pool = _pool([Num(0), Num(1)], ("+",))
+    pool = _Pool([Num(0), Num(1)], ("+",))
     pairs = list(_tuples([pool, pool], max_size=3))
     sizes = [
         (1 if isinstance(a, Num) else 3, 1 if isinstance(b, Num) else 3) for a, b in pairs
@@ -247,7 +253,7 @@ def test_check_outcomes_do_not_depend_on_run_order():
     g_count, g_power = d.genvars
     initial = {g_count: Var("n"), g_power: e("k ^ n")}
     atoms = [Num(0), Num(1), Num(2), Var("k"), Var("n"), Var("x"), Var("y")]
-    pools = [_pool(atoms + [Var(g)], ("-", "/")) for g in d.genvars]
+    pools = [_Pool(atoms + [Var(g)], ("-", "/")) for g in d.genvars]
     steps = [dict(zip(d.genvars, tup)) for tup in itertools.islice(_tuples(pools), 400)]
     steps.append({g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")})
     rng = random.Random(6)
@@ -673,6 +679,12 @@ def solve_outcome(triple, d, cfg):
     return report.invariant, report.assignment, report.verdict, report.stats
 
 
+def judging_nothing(mp):
+    # The front's seam: with no front item to judge at, every candidate goes
+    # on to the full check, as if there were no front check.
+    mp.setattr(solver._Front, "current", lambda front: None)
+
+
 def assert_front_changes_nothing(source, cfg):
     # Judging candidates at the front store first changes no outcome and
     # no count: the full check alone must give the same ones.
@@ -680,8 +692,9 @@ def assert_front_changes_nothing(source, cfg):
     loops = [d for d in found if d.putative is not None]
     got = [solve_outcome(annotated, d, cfg) for d in loops]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver._Front, "refutes", lambda front, candidate: False)
+        judging_nothing(mp)
         assert got == [solve_outcome(annotated, d, cfg) for d in loops]
+    return got
 
 
 def counting_loop(c, body, twin):
@@ -730,43 +743,89 @@ def test_the_front_check_changes_no_outcome_on_the_corpus(path):
     assert_front_changes_nothing(path.read_text(encoding="utf-8"), cfg)
 
 
-def recording_front(monkeypatch):
-    """Record each candidate that the front refutes, with whether it is a
-    step and whether any of its operator templates was compiled at that
-    moment (atoms are compiled once for their pool)."""
-    refuted = []
-    judge = solver._Front.refutes
-
-    def refutes(front, candidate):
-        ops = [t for t in candidate.values() if isinstance(t, Op)]
-        compiled = any("_closure" in vars(t) for t in ops)
-        if not judge(front, candidate):
-            return False
-        refuted.append((isinstance(front.items[0], tuple), candidate, compiled))
-        return True
-
-    monkeypatch.setattr(solver._Front, "refutes", refutes)
-    return refuted
-
-
 def size(t):
     return 1 + sum(size(a) for a in t.args) if isinstance(t, Op) else 1
 
 
-def test_candidates_refuted_at_the_front_are_never_compiled(monkeypatch):
-    # Square-of-odds needs a step of size 7; the budget stops its search
-    # among those of size 5.
-    refuted = recording_front(monkeypatch)
+def row_size(row):
+    op, ls, _, rs = row
+    return 1 if op is None else 1 + ls + rs
+
+
+@pytest.mark.parametrize(
+    "cfg, stop_size",
+    [
+        (SolverConfig(domain_bound=2, max_candidates=1_000), 5),
+        (SolverConfig(domain_bound=2, max_candidates=20_000, operator_pool=("+", "-")), 7),
+    ],
+)
+def test_the_budget_runs_out_at_the_same_candidate_without_the_front(monkeypatch, cfg, stop_size):
+    # Square-of-odds' step search runs out of budget inside a row of the
+    # given size, after a survivor of that row went to the full check.
+    judged = []
+    judge = solver._Front.judge
+
+    def recording(front, genvars, heads, row, start):
+        if front.current() is not None:  # not the run judging nothing
+            judged.append((row_size(row), start))
+        return judge(front, genvars, heads, row, start)
+
+    monkeypatch.setattr(solver._Front, "judge", recording)
+    [(_, detail, stats)] = assert_front_changes_nothing(SQUARE_OF_ODDS, cfg)
+    assert "budget" in detail and stats.candidates_tried == cfg.max_candidates + 1
+    last_size, start = judged[-1]
+    assert last_size == stop_size and start > 0
+
+
+def test_candidates_refuted_at_the_front_are_never_built(monkeypatch):
+    # Square-of-odds' step search runs out of budget among the templates
+    # of size 5; only those that reach the full check become nodes.
+    built, judged, checked = [], [], []
+    in_step_search = []
+    post_init, judge = Op.__post_init__, solver._Front.judge
+    find_step, preserves = solver._Search._find_step, solver._Search._preserves
+
+    def building(node):
+        post_init(node)
+        if in_step_search and size(node) >= 5:
+            built.append(node)
+
+    def searching(search, comp, starts):
+        in_step_search.append(True)
+        try:
+            return find_step(search, comp, starts)
+        finally:
+            in_step_search.pop()
+
+    def judging(front, genvars, heads, row, start):
+        for counts in judge(front, genvars, heads, row, start):
+            judged.append(row_size(row))
+            yield counts
+
+    monkeypatch.setattr(Op, "__post_init__", building)
+    monkeypatch.setattr(solver._Search, "_find_step", searching)
+    monkeypatch.setattr(solver._Front, "judge", judging)
+    monkeypatch.setattr(
+        solver._Search, "_preserves", lambda *args: checked.append(args[-1]) or preserves(*args)
+    )
     annotated, d = discovered(SQUARE_OF_ODDS)
     cfg = SolverConfig(domain_bound=2, max_candidates=3_000)
     with pytest.raises(SolverFailure, match="budget"):
         solve(annotated, d.node, d.putative, d.genvars, d.post, cfg)
-    assert not any(compiled for _, _, compiled in refuted)
-    steps = [t for is_step, c, _ in refuted if is_step for t in c.values()]
-    # Templates of size 5 and 7 are no other template's operand, so they
-    # stay uncompiled for good.
-    large = [t for t in steps if size(t) >= 5]
-    assert len(large) > 1_000 and not any("_closure" in vars(t) for t in large)
+    assert sum(s >= 5 for s in judged) > 1_000
+    assert 0 < len(built) <= sum(size(t) >= 5 for step in checked for t in step.values())
+
+
+def front_says(front, candidate):
+    """What `front` says of a candidate whose last template has size 1 or 3."""
+    *heads, last = candidate.values()
+    pool = front.pool
+    for n in (1, 3):
+        for row in pool.rows(n):
+            for j in range(len(pool.lists[row[3]])):
+                if pool.template(row, j) == last:
+                    return next(front.judge(tuple(candidate), heads, row, j))
+    raise ValueError(f"{pretty(last)} is in no row of size 1 or 3")
 
 
 def test_a_division_step_still_truncates_on_the_k0_runs():
@@ -779,18 +838,18 @@ def test_a_division_step_still_truncates_on_the_k0_runs():
     starts = _starts({g_count: Var("n"), g_power: e("k ^ n")}, runs)
     k0 = next(i for i, (run, _) in enumerate(starts) if run.entry["k"] == 0 and run.transitions)
     starts.insert(0, starts.pop(k0))
-    stats = SolveStats()
-    front = solver._Front(starts, functools.partial(solver._first_iteration, conjuncts), stats)
+    atoms = [Num(0), Num(1), Num(2), Var("k"), Var("n"), Var("x"), Var("y"), Var(g_power)]
+    pool = _Pool(atoms, SolverConfig().operator_pool)
+    prepare = functools.partial(solver._first_iteration, conjuncts)
+    front = solver._Front(starts, prepare, pool)
     step = {g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")}
-    assert not front.refutes(step)
-    assert stats == SolveStats()  # the full check counts the front itself
+    assert front_says(front, step) == ()  # the full check counts the front itself
+    stats = SolveStats()
     refuting, validated = _step_counterexample(conjuncts, step, starts, stats)
     assert refuting is None and validated > 0 and stats.step_truncations > 0
     # Where x + g3 = n pins g3's next value, the error of g3/k refutes.
-    stats = SolveStats()
-    front = solver._Front(starts, functools.partial(solver._first_iteration, conjuncts), stats)
-    assert front.refutes({g_count: e(f"{g_count} / k"), g_power: e(f"{g_power} / k")})
-    assert stats == SolveStats(eval_rejections=1)
+    front = solver._Front(starts, prepare, pool)
+    assert front_says(front, {g_count: e(f"{g_count} / k"), g_power: e(f"{g_power} / k")}) == (1, 0)
 
 
 MULT = "{n >= 0} x := 0; y := 0; WHILE x < n DO BEGIN x := x + 1; y := y + k END {y = n * k}"
@@ -804,9 +863,18 @@ def test_a_two_variable_component_is_judged_at_the_front(monkeypatch):
     putative = e("x + g1 = n /\\ y + g2 * g1 = n * k")
     cfg = SolverConfig(domain_bound=4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver._Front, "refutes", lambda front, candidate: False)
+        judging_nothing(mp)
         expected = solve(t, loop, putative, ("g1", "g2"), t.post, cfg)
-    refuted = recording_front(monkeypatch)
+    refuted = set()  # (whether a step was judged, how many variables)
+    judge = solver._Front.judge
+
+    def recording(front, genvars, heads, row, start):
+        for counts in judge(front, genvars, heads, row, start):
+            if counts:
+                refuted.add((isinstance(front.items[0], tuple), len(genvars)))
+            yield counts
+
+    monkeypatch.setattr(solver._Front, "judge", recording)
     report = solve(t, loop, putative, ("g1", "g2"), t.post, cfg)
     assert (report.assignment, report.verdict, report.stats) == (
         expected.assignment,
@@ -816,7 +884,7 @@ def test_a_two_variable_component_is_judged_at_the_front(monkeypatch):
     assert report.assignment.initial == {"g1": Var("n"), "g2": Var("k")}
     assert report.assignment.step == {"g1": e("g1 - 1"), "g2": Var("k")}
     assert report.verdict == VerifiedUpToBound(4)
-    assert {is_step for is_step, candidate, _ in refuted if len(candidate) == 2} == {True, False}
+    assert refuted == {(True, 2), (False, 2)}
 
 
 # --- conditional steps ----------------------------------------------------------------
