@@ -9,8 +9,9 @@ Generates the programs of one pass of WORKLOAD (``search-shallow``,
 ``search-deep`` or ``check-only``) with ``perfbench/workloads.generate``
 and runs each through ``loopinv.cli.main`` as the benchmark does (source
 on stdin, ``--format json``).  It first runs the pass once counting the
-``Op`` nodes built and the ``Op`` nodes compiled into closures, then runs
-it again under cProfile and prints the 25 functions that rank highest by
+``Op`` nodes built, the ``Op`` nodes compiled into closures and the full
+checks of step candidates (calls of ``_Search._preserves``), then runs it
+again under cProfile and prints the 25 functions that rank highest by
 ``--sort`` (any ``pstats`` key; default ``tottime``).  The counting pass
 runs without the profiler and the profiled pass without the counters, so
 neither distorts the other.  Nothing under ``perfbench/`` is changed.
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from loopinv import cli, evaluator  # noqa: E402
+from loopinv import cli, evaluator, solver  # noqa: E402
 from loopinv.terms import Op  # noqa: E402
 
 
@@ -44,10 +45,11 @@ def run_pass(programs: list[workloads.Program]) -> None:
             sys.stdin = saved
 
 
-def count_nodes(programs: list[workloads.Program]) -> tuple[int, int]:
-    """The Op nodes built and compiled during one pass."""
-    built = compiled = 0
-    post_init, compile_ = Op.__post_init__, evaluator._compiled
+def count_work(programs: list[workloads.Program]) -> tuple[int, int, int]:
+    """The Op nodes built and compiled, and the full checks of step
+    candidates, during one pass."""
+    built = compiled = checked = 0
+    post_init, compile_, preserves = Op.__post_init__, evaluator._compiled, solver._Search._preserves
 
     def counting_post_init(node: Op) -> None:
         nonlocal built
@@ -59,12 +61,19 @@ def count_nodes(programs: list[workloads.Program]) -> tuple[int, int]:
         compiled += type(e) is Op and "_closure" not in vars(e)
         return compile_(e)
 
+    def counting_preserves(*args):
+        nonlocal checked
+        checked += 1
+        return preserves(*args)
+
     Op.__post_init__, evaluator._compiled = counting_post_init, counting_compile
+    solver._Search._preserves = counting_preserves
     try:
         run_pass(programs)
     finally:
         Op.__post_init__, evaluator._compiled = post_init, compile_
-    return built, compiled
+        solver._Search._preserves = preserves
+    return built, compiled, checked
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,9 +84,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     programs = workloads.generate(args.workload, args.seed)
-    built, compiled = count_nodes(programs)
+    built, compiled, checked = count_work(programs)
     print(f"{args.workload} seed {args.seed}: {len(programs)} programs")
-    print(f"Op nodes built {built:,}, compiled {compiled:,}")
+    print(f"Op nodes built {built:,}, compiled {compiled:,}; full checks of steps {checked:,}")
     profile = cProfile.Profile()
     profile.runcall(run_pass, programs)
     pstats.Stats(profile, stream=sys.stdout).sort_stats(args.sort).print_stats(25)

@@ -92,19 +92,27 @@ assignments and verdicts are those of a scan smallest input first.
 Only the work counters of ``SolveStats`` (``stores_tested``,
 ``eval_rejections``, ``step_truncations``) fall.  Since almost every
 candidate is refuted at the front, it is first judged there by value
-alone (``_Front``): an initial at the front entry, a step at the first
-iteration of the front run, where its variable's value is fixed by the
-initial.  A candidate's last template is scanned by rows
-(``_Search._survivors``): at each front store the atoms are evaluated,
-the templates of size 3 are valued from them by ``evaluator.ARITHMETIC``
-when first needed, and a row's template is its operator applied to two
-such values.  The test's outcome is kept per tuple of values.  A refuted
-candidate is never built; its counts reach ``SolveStats`` before the
-next survivor and before the budget runs out, so every count, and the
-candidate the budget stops at, are those of the full check alone.  A
-pass and a truncating step error go on to the full check, which counts
-the front store itself and may put another item in front.  The finals
-and the conditional steps skip the front: the finals scan starts at the
+alone (``_Front``): an initial at the front entry, a step along the
+front run as the full check would walk it, iteration by iteration, from
+the value the initial fixes (``_front_run``).  A candidate's last
+template is scanned by rows (``_Search._survivors``): at each store the
+atoms are evaluated, the templates of size 3 are valued from them by
+``evaluator.ARITHMETIC`` when first needed, and a row's template is its
+operator applied to two such values.  A row is judged whole at the front
+store (``_Level.summary``): the right templates are grouped by value
+once per store, so the test runs once per tuple of values, and the scan
+jumps from one survivor to the next, counting the refuted templates in
+between in bulk.  A survivor that passes the front store is valued and
+tested again at each later iteration of the front run, with the
+variables at the values walked to; there is one set of values per
+iteration and values of the variables, and the invariant usually pins
+them.  A refuted candidate is never built; its counts reach
+``SolveStats`` before the next survivor and before the budget runs out,
+so every count, and the candidate the budget stops at, are those of the
+full check alone.  A step that passes the whole front run, and a
+truncating step error, go on to the full check, which counts the front
+run itself and may put another item in front.  The finals and the
+conditional steps skip the front: the finals scan starts at the
 smallest stores, where a final is usually refuted.  The initials are
 evaluated once per run for each initial that holds, not once per step
 candidate.
@@ -115,6 +123,7 @@ in that order.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator
@@ -655,11 +664,10 @@ def _step_counterexample(
     is found, never whether one is, nor `validated` when none is."""
     validated = 0
     for i, (run, gvals) in enumerate(starts):
-        for j, (pre, post) in enumerate(run.transitions):
+        # Each pre-store is the entry store, where requirement 1 holds, or
+        # the post-store of the iteration before, where the conjuncts held.
+        for pre, post in run.transitions:
             env_pre = {**pre, **gvals}
-            # The first pre-store is the entry store, where requirement 1 holds.
-            if j and not all(holds(c, env_pre) for c in conjuncts):
-                break  # off the invariant; nothing to demand onward
             ok, nxt = _iterate(conjuncts, step, env_pre, post, stats)
             if not ok:
                 _to_front(starts, i)
@@ -698,14 +706,16 @@ def _post_counterexample(
     return None
 
 
-def _first_iteration(conjuncts: list[Expr], start: Start) -> tuple[Store, Callable] | None:
-    """The pre-store of a start's first iteration and requirement 2's test
-    of it, for `_Front`; None when the run has no iteration."""
-    run, gvals = start
-    if not run.transitions:
+def _apply(op: str | None, lv: int | None, rv: int | None) -> int | None:
+    """A row's template valued from its operands' values (see `_Pool`)."""
+    if op is None:
+        return rv
+    if lv is None or rv is None:
         return None
-    pre, post = run.transitions[0]
-    return {**pre, **gvals}, lambda nxt, stats: _advance(conjuncts, nxt, post, stats)[0]
+    try:
+        return ARITHMETIC[op]((lv, rv))
+    except EvalError:
+        return None
 
 
 class _Values(dict):
@@ -716,72 +726,150 @@ class _Values(dict):
     def __init__(self, pool: _Pool, env: Store):
         super().__init__()
         self.pool, self.env = pool, env
+        self.groups: dict[int, dict[int | None, list[int]]] = {}
 
     def __missing__(self, size: int) -> list[int | None]:
         if size == 1:
             values = [_value(a, self.env) for a in self.pool.lists[1]]
         else:
-            values = [v for row in self.pool.rows(3) for v in self.row(row)]
+            values = [_apply(op, self[1][i], rv) for op, _, i, _ in self.pool.rows(3) for rv in self[1]]
         self[size] = values
         return values
 
-    def row(self, row: Row, start: int = 0) -> Iterator[int | None]:
-        """The values of the row's templates from the start-th on."""
+    def at(self, row: Row, j: int) -> int | None:
         op, ls, i, rs = row
-        rights = itertools.islice(self[rs], start, None)
-        if op is None:
-            yield from rights
-            return
-        lv, apply = self[ls][i], ARITHMETIC[op]
-        for rv in rights:
-            try:
-                v = None if lv is None or rv is None else apply((lv, rv))
-            except EvalError:
-                v = None
-            yield v
+        return _apply(op, self[ls][i], self[rs][j])
+
+    def positions(self, size: int) -> dict[int | None, list[int]]:
+        """Each value of the templates of `size`, with their ascending positions."""
+        if size not in self.groups:
+            groups = self.groups[size] = {}
+            for j, v in enumerate(self[size]):
+                groups.setdefault(v, []).append(j)
+        return self.groups[size]
+
+
+@dataclass
+class _Summary:
+    """What a store says of one row: the ascending positions of the
+    templates it leaves to the full check or to a later store, and those
+    of the refuted ones, grouped by the (eval_rejections, stores_tested)
+    of their refutation."""
+
+    survivors: list[int]
+    refuted: list[tuple[list[int], int, int]]
+
+    def next(self, j: int, end: int) -> int:
+        """The first survivor from position j on, or `end`."""
+        k = bisect.bisect_left(self.survivors, j)
+        return self.survivors[k] if k < len(self.survivors) else end
+
+    def counts(self, a: int, b: int) -> tuple[int, int]:
+        """The counts of refuting the templates at positions a to b-1."""
+        rejected = tested = 0
+        for positions, r, t in self.refuted:
+            n = bisect.bisect_left(positions, b) - bisect.bisect_left(positions, a)
+            rejected, tested = rejected + n * r, tested + n * t
+        return rejected, tested
+
+
+Outcome = tuple[int, int] | None  # counts of a refutation, or None: the full check decides
+
+
+class _Level:
+    """One store of the front item, where candidates are judged by value:
+    an entry store for initials, an iteration of the front run for steps.
+    `test(values, stats)` is the full check's test of that store: False
+    when it refutes, None when the full check must decide, or the
+    `_Level` of the next iteration when it passes."""
+
+    def __init__(self, pool: _Pool, env: Store, test: Callable):
+        self.values, self.test = _Values(pool, env), test
+        self.outcomes: dict[tuple, Outcome | _Level] = {}  # by tuple of values
+        self.summaries: dict[tuple, _Summary] = {}
+
+    def outcome(self, genvars: tuple[str, ...], key: tuple) -> Outcome | _Level:
+        """What this store says of a candidate whose templates take the values `key`."""
+        if key not in self.outcomes:
+            tally = SolveStats()
+            got = self.test(dict(zip(genvars, key)), tally)
+            self.outcomes[key] = (tally.eval_rejections, tally.stores_tested) if got is False else got
+        return self.outcomes[key]
+
+    def summary(self, genvars: tuple[str, ...], heads: list[Expr], row: Row) -> _Summary:
+        """The row after `heads`, judged at this store once per value of
+        the heads and of the row's left template."""
+        head = tuple(_value(h, self.values.env) for h in heads)
+        op, ls, i, rs = row
+        lv = self.values[ls][i]
+        key = (head, op, lv, rs)
+        if key not in self.summaries:
+            survivors, refuted = [], {}
+            for rv, positions in self.values.positions(rs).items():
+                got = self.outcome(genvars, head + (_apply(op, lv, rv),))
+                (refuted.setdefault(got, []) if isinstance(got, tuple) else survivors).extend(positions)
+            self.summaries[key] = _Summary(
+                sorted(survivors), [(sorted(p), *counts) for counts, p in refuted.items()]
+            )
+        return self.summaries[key]
+
+    def fate(self, genvars: tuple[str, ...], heads: list[Expr], row: Row, j: int) -> Outcome:
+        """The counts of refuting the candidate of `heads` and the row's
+        j-th template here or at a later store of the front item, where the
+        heads and the template are valued again; each store passed on the
+        way counts as tested.  None when the full check decides."""
+        level, passed = self, 0
+        while True:
+            key = tuple(_value(h, level.values.env) for h in heads) + (level.values.at(row, j),)
+            got = level.outcome(genvars, key)
+            if not isinstance(got, _Level):
+                return got and (got[0], got[1] + passed)
+            level, passed = got, passed + 1
+
+
+def _entry_level(conjuncts: list[Expr], pool: _Pool, entry: Store) -> _Level:
+    """An entry store as the `_Level` of the initials' front, which has no
+    later store: a candidate that holds there goes to the full check."""
+    return _Level(
+        pool, entry, lambda gvals, stats: None if _entry_holds(conjuncts, entry, gvals, stats) else False
+    )
+
+
+def _front_run(conjuncts: list[Expr], pool: _Pool, start: Start, j: int = 0) -> _Level | None:
+    """The j-th iteration of a start's run as a `_Level` of the step front:
+    `_step_counterexample` on that run alone, from values.  A pass leads to
+    the next iteration, entered with the values the step gave; a truncating
+    error and the end of the run leave the candidate to the full check."""
+    run, gvals = start
+    if j == len(run.transitions):
+        return None
+    pre, post = run.transitions[j]
+
+    def test(nxt: dict[str, int | None], stats: SolveStats) -> bool | _Level | None:
+        ok, after = _advance(conjuncts, nxt, post, stats)
+        return ok and (None if after is None else _front_run(conjuncts, pool, (run, after), j + 1))
+
+    return _Level(pool, {**pre, **gvals}, test)
 
 
 class _Front:
     """Requirement 1 or 2 at the front of `items` (the entries or starts
     that the full check reorders) alone, judged by value.  `prepare(item)`
-    gives the store to evaluate at and the full check's test of that one
-    store, from values; None when the item has none."""
+    gives the item's first `_Level`, or None when it has none."""
 
-    def __init__(self, items: list, prepare: Callable, pool: _Pool):
-        self.items, self.prepare, self.pool = items, prepare, pool
-        self.fronts: dict[int, tuple | None] = {}  # by id: items are reordered, never dropped
+    def __init__(self, items: list, prepare: Callable[..., _Level | None]):
+        self.items, self.prepare = items, prepare
+        self.fronts: dict[int, _Level | None] = {}  # by id: items are reordered, never dropped
 
-    def current(self) -> tuple[_Values, Callable, dict] | None:
-        """The front item's `_Values` of the last pool, test and outcomes by
-        tuple of values, kept for the search; None when it judges nothing."""
+    def current(self) -> _Level | None:
+        """The front item's first `_Level`, kept for the search; None when
+        it judges nothing."""
         if not self.items:
             return None
         item = self.items[0]
         if id(item) not in self.fronts:
-            prepared = self.prepare(item)
-            self.fronts[id(item)] = prepared and (_Values(self.pool, prepared[0]), prepared[1], {})
+            self.fronts[id(item)] = self.prepare(item)
         return self.fronts[id(item)]
-
-    def judge(
-        self, genvars: tuple[str, ...], heads: list[Expr], row: Row, start: int
-    ) -> Iterator[tuple[int, ...]]:
-        """For each template of the last pool's `row` from the start-th on,
-        after `heads`: the (eval_rejections, stores_tested) that refuting the
-        candidate at the front counts, or () when the full check decides."""
-        judged = self.current()
-        if judged is None:
-            yield from itertools.repeat((), len(self.pool.lists[row[3]]) - start)
-            return
-        values, check, outcomes = judged
-        head = tuple(_value(h, values.env) for h in heads)
-        for v in values.row(row, start):
-            key = head + (v,)
-            counts = outcomes.get(key)
-            if counts is None:
-                tally = SolveStats()
-                passes = check(dict(zip(genvars, key)), tally)
-                counts = outcomes[key] = () if passes else (tally.eval_rejections, tally.stores_tested)
-            yield counts
 
 
 # ---------------------------------------------------------------------------
@@ -847,41 +935,33 @@ class _Search:
     ) -> Iterator[dict[str, Expr]]:
         """The candidates of `_tuples(pools, max_size)` over `genvars` that
         `front` leaves to the full check, the last pool scanned by rows.
-        Each spends a unit of budget, and a refuted one adds its counts,
-        kept here until a survivor is yielded or `_Budget` raised."""
+        Each spends a unit of budget.  The refuted ones up to the next
+        survivor are counted in bulk, before it is yielded or `_Budget`
+        raised at the candidate where the budget runs out."""
         stats, last = self.stats, pools[-1]
-        tried = rejected = tested = 0
-
-        def flush() -> None:
-            nonlocal tried, rejected, tested
-            stats.candidates_tried += tried
-            stats.eval_rejections += rejected
-            stats.stores_tested += tested
-            tried = rejected = tested = 0
-
-        room = self.cfg.max_candidates - stats.candidates_tried
         # The last pool gives just the size asked for; its rows are scanned here.
         for *heads, n in _tuples([*pools[:-1], lambda n: (n,)], max_size):
             for row in last.rows(n):
-                j = 0
-                while True:
-                    for counts in front.judge(genvars, heads, row, j):
-                        tried += 1
-                        if tried > room:
-                            flush()
-                            raise _Budget()
-                        if not counts:
-                            break
-                        rejected += counts[0]
-                        tested += counts[1]
-                        j += 1
-                    else:
-                        break
-                    flush()
-                    yield dict(zip(genvars, (*heads, last.template(row, j))))
+                j, end = 0, len(last.lists[row[3]])
+                while j < end:
+                    level = front.current()  # the full check may have moved another item to the front
+                    summary = level and level.summary(genvars, heads, row)
                     room = self.cfg.max_candidates - stats.candidates_tried
-                    j += 1  # the full check may have moved another item to the front
-        flush()
+                    stop = min(summary.next(j, end) if summary else j, j + room)
+                    rejected, tested = summary.counts(j, stop) if summary else (0, 0)
+                    stats.candidates_tried += stop - j
+                    stats.eval_rejections += rejected
+                    stats.stores_tested += tested
+                    if stop == end:
+                        break
+                    self._spend()  # a survivor, or the candidate at which the budget runs out
+                    j = stop + 1
+                    counts = level and level.fate(genvars, heads, row, stop)
+                    if counts:
+                        stats.eval_rejections += counts[0]
+                        stats.stores_tested += counts[1]
+                    else:
+                        yield dict(zip(genvars, (*heads, last.template(row, stop))))
 
     def _preserves(self, comp: _Component, starts: list[Start], step: dict[str, Expr]) -> bool:
         """Requirement 2, plus the search's own demand that the step
@@ -891,11 +971,7 @@ class _Search:
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
         init_pool = _Pool(self.atoms, self.cfg.operator_pool)
-        front = _Front(
-            self.entries,
-            lambda entry: (entry, functools.partial(_entry_holds, comp.conjuncts, entry)),
-            init_pool,
-        )
+        front = _Front(self.entries, functools.partial(_entry_level, comp.conjuncts, init_pool))
         some_initial_held = False
         try:
             for init in self._survivors(comp.genvars, [init_pool] * len(comp.genvars), front):
@@ -927,7 +1003,7 @@ class _Search:
         # conditional stage is reachable within the budget.
         cap = 5 if conditional else None
         pools = [_Pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
-        front = _Front(starts, functools.partial(_first_iteration, comp.conjuncts), pools[-1])
+        front = _Front(starts, functools.partial(_front_run, comp.conjuncts, pools[-1]))
         steps = self._survivors(comp.genvars, pools, front, cap)
         found = next((step for step in steps if self._preserves(comp, starts, step)), None)
         if found is None and conditional:

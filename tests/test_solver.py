@@ -727,9 +727,11 @@ counting_loops = st.builds(
 
 
 @settings(max_examples=25, deadline=None)
-@given(counting_loops)
-def test_the_front_check_changes_no_outcome_on_counting_loops(source):
-    assert_front_changes_nothing(source, SolverConfig(domain_bound=3, max_candidates=5_000))
+@given(counting_loops, st.integers(1, 5_000))
+def test_the_front_check_changes_no_outcome_on_counting_loops(source, budget):
+    # A drawn budget runs out anywhere: inside a span counted in bulk, at a
+    # survivor, or at a candidate the front run's later iterations refute.
+    assert_front_changes_nothing(source, SolverConfig(domain_bound=3, max_candidates=budget))
 
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.imp"))
@@ -752,6 +754,30 @@ def row_size(row):
     return 1 if op is None else 1 + ls + rs
 
 
+def scanning(monkeypatch):
+    """Record each read of a row at the front store: [row, first position,
+    next survivor, the position the scan stopped at]."""
+    scans = []
+    summary, next_, counts = solver._Level.summary, solver._Summary.next, solver._Summary.counts
+
+    def summarising(level, genvars, heads, row):
+        scans.append([row])
+        return summary(level, genvars, heads, row)
+
+    def surviving(rows, j, end):
+        scans[-1] += [j, next_(rows, j, end)]
+        return scans[-1][-1]
+
+    def counting(rows, a, b):
+        scans[-1].append(b)
+        return counts(rows, a, b)
+
+    monkeypatch.setattr(solver._Level, "summary", summarising)
+    monkeypatch.setattr(solver._Summary, "next", surviving)
+    monkeypatch.setattr(solver._Summary, "counts", counting)
+    return scans
+
+
 @pytest.mark.parametrize(
     "cfg, stop_size",
     [
@@ -761,28 +787,23 @@ def row_size(row):
 )
 def test_the_budget_runs_out_at_the_same_candidate_without_the_front(monkeypatch, cfg, stop_size):
     # Square-of-odds' step search runs out of budget inside a row of the
-    # given size, after a survivor of that row went to the full check.
-    judged = []
-    judge = solver._Front.judge
-
-    def recording(front, genvars, heads, row, start):
-        if front.current() is not None:  # not the run judging nothing
-            judged.append((row_size(row), start))
-        return judge(front, genvars, heads, row, start)
-
-    monkeypatch.setattr(solver._Front, "judge", recording)
+    # given size, after a survivor of that row, amid refuted templates
+    # counted in bulk.
+    scans = scanning(monkeypatch)
     [(_, detail, stats)] = assert_front_changes_nothing(SQUARE_OF_ODDS, cfg)
     assert "budget" in detail and stats.candidates_tried == cfg.max_candidates + 1
-    last_size, start = judged[-1]
-    assert last_size == stop_size and start > 0
+    row, start, survivor, stop = scans[-1]
+    assert row_size(row) == stop_size and 0 < start < stop < survivor
 
 
 def test_candidates_refuted_at_the_front_are_never_built(monkeypatch):
-    # Square-of-odds' step search runs out of budget among the templates
-    # of size 5; only those that reach the full check become nodes.
-    built, judged, checked = [], [], []
+    # Square-of-odds' step search at bound 2 ends among the templates of
+    # size 5, at g4-g4^x, which the runs of n <= 2 cannot tell from the
+    # step the invariant asks for; only the candidates that reach the full
+    # check become nodes.
+    built, checked = [], []
     in_step_search = []
-    post_init, judge = Op.__post_init__, solver._Front.judge
+    post_init = Op.__post_init__
     find_step, preserves = solver._Search._find_step, solver._Search._preserves
 
     def building(node):
@@ -797,59 +818,132 @@ def test_candidates_refuted_at_the_front_are_never_built(monkeypatch):
         finally:
             in_step_search.pop()
 
-    def judging(front, genvars, heads, row, start):
-        for counts in judge(front, genvars, heads, row, start):
-            judged.append(row_size(row))
-            yield counts
-
+    scans = scanning(monkeypatch)
     monkeypatch.setattr(Op, "__post_init__", building)
     monkeypatch.setattr(solver._Search, "_find_step", searching)
-    monkeypatch.setattr(solver._Front, "judge", judging)
     monkeypatch.setattr(
         solver._Search, "_preserves", lambda *args: checked.append(args[-1]) or preserves(*args)
     )
     annotated, d = discovered(SQUARE_OF_ODDS)
-    cfg = SolverConfig(domain_bound=2, max_candidates=3_000)
-    with pytest.raises(SolverFailure, match="budget"):
-        solve(annotated, d.node, d.putative, d.genvars, d.post, cfg)
-    assert sum(s >= 5 for s in judged) > 1_000
+    report = solve(annotated, d.node, d.putative, d.genvars, d.post, SolverConfig(domain_bound=2))
+    assert report.assignment.step["g4"] == e("g4 - g4 ^ x")
+    assert sum(stop - start for row, start, _, stop in scans if row_size(row) >= 5) > 1_000
     assert 0 < len(built) <= sum(size(t) >= 5 for step in checked for t in step.values())
 
 
-def front_says(front, candidate):
-    """What `front` says of a candidate whose last template has size 1 or 3."""
+# g4-(1+x) passes the first iteration of square-of-odds' runs, where x is
+# 0, and fails the second: the step the invariant asks for is g4-1-(x+x).
+SECOND_ITERATION_FAILS = e("g4 - (1 + x)")
+
+
+def test_a_step_failing_at_the_second_iteration_is_never_built(monkeypatch):
+    annotated, d = discovered(SQUARE_OF_ODDS)
+    cfg = SolverConfig(domain_bound=2, max_candidates=8_000)
+    built, checked = [], []
+    post_init, preserves = Op.__post_init__, solver._Search._preserves
+    monkeypatch.setattr(Op, "__post_init__", lambda node: post_init(node) or built.append(node))
+    monkeypatch.setattr(
+        solver._Search, "_preserves", lambda *args: checked.append(args[-1]) or preserves(*args)
+    )
+
+    def seen():
+        got = built.count(SECOND_ITERATION_FAILS), checked.count({"g4": SECOND_ITERATION_FAILS})
+        built.clear()
+        checked.clear()
+        return got
+
+    got = solve_outcome(annotated, d, cfg)
+    assert seen() == (0, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        judging_nothing(mp)
+        assert solve_outcome(annotated, d, cfg) == got
+    assert seen() == (1, 1)  # built, then refuted by the full check
+
+
+def test_the_budget_runs_out_at_a_step_the_later_iterations_refute(monkeypatch):
+    # The budget runs out just at g4-(1+x), which passes the front store
+    # and which the walk along the front run would refute.
+    scans = scanning(monkeypatch)
+    cfg = SolverConfig(domain_bound=2, max_candidates=6_396)
+    [(_, detail, stats)] = assert_front_changes_nothing(SQUARE_OF_ODDS, cfg)
+    assert "budget" in detail and stats.candidates_tried == cfg.max_candidates + 1
+    row, start, survivor, stop = scans[-1]
+    pool = _Pool([Num(0), Num(1), Num(2), Var("n"), Var("x"), Var("y"), Var("g4")], cfg.operator_pool)
+    assert start <= stop == survivor and pool.template(row, stop) == SECOND_ITERATION_FAILS
+
+
+def front_says(front, pool, candidate):
+    """What the front says of a candidate whose last template has size 1
+    or 3: the counts of refuting it, or None when the full check decides."""
     *heads, last = candidate.values()
-    pool = front.pool
     for n in (1, 3):
         for row in pool.rows(n):
             for j in range(len(pool.lists[row[3]])):
                 if pool.template(row, j) == last:
-                    return next(front.judge(tuple(candidate), heads, row, j))
+                    return front.current().fate(tuple(candidate), heads, row, j)
     raise ValueError(f"{pretty(last)} is in no row of size 1 or 3")
 
 
-def test_a_division_step_still_truncates_on_the_k0_runs():
-    # On a k = 0 run, g4/k fails where y*g4 = k^n admits every value of g4:
-    # the front leaves that to the full check, which truncates the run.
+def exp_simple_front(k, transitions):
+    """exp_simple's conjuncts, its starts with the initials n and k^n and
+    a run of the given k with the given number of iterations in front,
+    its step pool and a front over them."""
     annotated, d = discovered(EXP_SIMPLE)
     runs = collect_trajectories(annotated, d.node, SolverConfig())
     conjuncts = top_conjuncts(d.putative)
     g_count, g_power = d.genvars
     starts = _starts({g_count: Var("n"), g_power: e("k ^ n")}, runs)
-    k0 = next(i for i, (run, _) in enumerate(starts) if run.entry["k"] == 0 and run.transitions)
-    starts.insert(0, starts.pop(k0))
+    i = next(
+        i for i, (run, _) in enumerate(starts)
+        if run.entry["k"] == k and len(run.transitions) == transitions
+    )
+    starts.insert(0, starts.pop(i))
     atoms = [Num(0), Num(1), Num(2), Var("k"), Var("n"), Var("x"), Var("y"), Var(g_power)]
     pool = _Pool(atoms, SolverConfig().operator_pool)
-    prepare = functools.partial(solver._first_iteration, conjuncts)
-    front = solver._Front(starts, prepare, pool)
-    step = {g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")}
-    assert front_says(front, step) == ()  # the full check counts the front itself
+    prepare = functools.partial(solver._front_run, conjuncts, pool)
+    return conjuncts, starts, pool, solver._Front(starts, prepare)
+
+
+def test_a_division_step_still_truncates_on_the_k0_runs():
+    # On a k = 0 run, g4/k fails where y*g4 = k^n admits every value of g4:
+    # the front leaves that to the full check, which truncates the run.
+    conjuncts, starts, pool, front = exp_simple_front(0, 1)
+    step = {"g3": e("g3 - 1"), "g4": e("g4 / k")}
+    assert front_says(front, pool, step) is None  # the full check counts the front itself
     stats = SolveStats()
     refuting, validated = _step_counterexample(conjuncts, step, starts, stats)
     assert refuting is None and validated > 0 and stats.step_truncations > 0
     # Where x + g3 = n pins g3's next value, the error of g3/k refutes.
-    front = solver._Front(starts, prepare, pool)
-    assert front_says(front, {g_count: e(f"{g_count} / k"), g_power: e(f"{g_power} / k")}) == (1, 0)
+    assert front_says(front, pool, {"g3": e("g3 / k"), "g4": e("g4 / k")}) == (1, 0)
+
+
+def test_a_step_truncating_at_a_later_iteration_goes_to_the_full_check():
+    # On a k = 0 run with n = 2, g4/(1-x) passes the first iteration, where
+    # y = 0 afterwards admits every g4, and fails at the second, where it
+    # divides by 0 and y = 0 still admits every g4: the run truncates there,
+    # which only the full check, going on to the other runs, may count.
+    conjuncts, starts, pool, front = exp_simple_front(0, 2)
+    step = {"g3": e("g3 - 1"), "g4": e("g4 / (1 - x)")}
+    first = front.current()
+    # From g3 = 2 and g4 = 0^2, the step gives g3 = 1 and g4 = 0, which pass.
+    assert isinstance(first.outcome(("g3", "g4"), (1, 0)), solver._Level)
+    row, j = ("/", 1, 7, 3), pool.lists[3].index(e("1 - x"))  # atom 7 is g4
+    assert pool.template(row, j) == step["g4"] and first.fate(("g3", "g4"), [step["g3"]], row, j) is None
+    stats = SolveStats()
+    _step_counterexample(conjuncts, step, starts[:1], stats)
+    assert (stats.stores_tested, stats.step_truncations) == (1, 1)
+
+
+def test_a_later_iteration_starts_where_the_one_before_ended():
+    # The full check asks nothing of a later pre-store beyond what it found
+    # at the post-store of the iteration before, which is the same store; so
+    # neither it nor the walk along the front run meets a store off the
+    # invariant, and a step that passed an iteration is judged at the next.
+    for path in CORPUS:
+        annotated, found = annotate_program(parse_program(path.read_text(encoding="utf-8")))
+        for d in found:
+            for run in collect_trajectories(annotated, d.node, SolverConfig(domain_bound=3)):
+                assert all(a[1] is b[0] for a, b in zip(run.transitions, run.transitions[1:]))
 
 
 MULT = "{n >= 0} x := 0; y := 0; WHILE x < n DO BEGIN x := x + 1; y := y + k END {y = n * k}"
@@ -866,15 +960,15 @@ def test_a_two_variable_component_is_judged_at_the_front(monkeypatch):
         judging_nothing(mp)
         expected = solve(t, loop, putative, ("g1", "g2"), t.post, cfg)
     refuted = set()  # (whether a step was judged, how many variables)
-    judge = solver._Front.judge
+    outcome = solver._Level.outcome
 
-    def recording(front, genvars, heads, row, start):
-        for counts in judge(front, genvars, heads, row, start):
-            if counts:
-                refuted.add((isinstance(front.items[0], tuple), len(genvars)))
-            yield counts
+    def recording(level, genvars, key):
+        got = outcome(level, genvars, key)
+        if isinstance(got, tuple):  # a step is judged where the variables have values
+            refuted.add((set(genvars) <= level.values.env.keys(), len(key)))
+        return got
 
-    monkeypatch.setattr(solver._Front, "judge", recording)
+    monkeypatch.setattr(solver._Level, "outcome", recording)
     report = solve(t, loop, putative, ("g1", "g2"), t.post, cfg)
     assert (report.assignment, report.verdict, report.stats) == (
         expected.assignment,
