@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""One digest of everything loopinv decides on a benchmark workload.
+
+Usage (from the root of a checkout):
+
+    python3 scripts/outcome_digest.py WORKLOAD [--seeds 1 2] [--budgets 1 10000 200000]
+
+For each seed and each budget (the solver's ``max_candidates``; by
+default its default alone), generates the programs of one pass of
+WORKLOAD (``search-shallow``, ``search-deep`` or ``check-only``) with
+``perfbench/workloads.generate`` and runs each through
+``loopinv.cli.main`` as the benchmark does (source on stdin, ``--format
+json``), with the solver's budget set to that value.  It prints one
+sha256 over, in order, each run's JSON output and exit code and, for
+each ``solve`` call in it, the outcome (the report's invariant,
+assignment and verdict, or the ``SolverFailure``'s requirement and
+detail) and the full ``SolveStats``.  A change meant to keep behaviour
+exactly must give the digest of its parent commit for the same
+arguments; budgets chosen to run out inside each stage of the witness
+search check that it stops at the same candidate there too.  Nothing
+under ``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from loopinv import cli, solver  # noqa: E402
+
+
+def run(program: workloads.Program, budget: int) -> tuple[str, int, list[str]]:
+    """The JSON output and exit code of one run under `budget`, and what
+    each `solve` call in it returned or raised."""
+    solves: list[str] = []
+
+    def recording(*args):
+        try:
+            report = solver.solve(*args)
+        except solver.SolverFailure as err:
+            solves.append(repr(("failure", err.requirement, err.detail, err.stats)))
+            raise
+        solves.append(repr(("report", report.invariant, report.assignment, report.verdict, report.stats)))
+        return report
+
+    saved = sys.stdin, cli.solve, cli.SolverConfig
+    sys.stdin, cli.solve = io.StringIO(program.text), recording
+    cli.SolverConfig = functools.partial(solver.SolverConfig, max_candidates=budget)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([program.mode, "-", *program.flags, "--format", "json"])
+    finally:
+        sys.stdin, cli.solve, cli.SolverConfig = saved
+    return out.getvalue(), code, solves
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload", choices=workloads.WORKLOADS)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--budgets", type=int, nargs="+", default=[solver.SolverConfig().max_candidates])
+    args = ap.parse_args(argv)
+
+    digest, runs = hashlib.sha256(), 0
+    for seed in args.seeds:
+        programs = workloads.generate(args.workload, seed)
+        for budget in args.budgets:
+            for p in programs:
+                output, code, solves = run(p, budget)
+                digest.update(repr((p.id, seed, budget, output, code, solves)).encode())
+                runs += 1
+    print(f"{args.workload} seeds {args.seeds} budgets {args.budgets}: {runs} runs, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -44,6 +44,7 @@ from .terms import (
     program_vars,
     renaming_of,
     sort_of,
+    substatements,
 )
 from .wlp import WlpError, top_conjuncts, wlp
 
@@ -206,7 +207,7 @@ def annotate_program(
     """
     cfg = cfg or EngineConfig()
     fresh = FreshSupply(avoid=frozenset(program_vars(triple)))
-    found: list[LoopDiscovery] = []
+    found: dict[int, LoopDiscovery] = {}  # by the source loop's identity
 
     def visit(st: Stmt, post: Expr | None) -> Stmt:
         match st:
@@ -226,47 +227,26 @@ def annotate_program(
             case Block(locs, body):
                 return Block(locs, visit(body, post))
             case While(_, body) as loop:
-                body2 = visit(body, None)
+                node = replace(loop, body=visit(body, None))
                 my_post = loop.post if loop.post is not None else post
-                node = replace(loop, body=body2)
-                if my_post is None:
-                    found.append(
-                        LoopDiscovery(
-                            loop.line,
-                            node,
-                            None,
-                            (),
-                            None,
-                            EngineFailure(
-                                "MissingPostcondition",
-                                "no postcondition reaches this loop; it needs a trailing {assertion}",
-                            ),
-                        )
-                    )
-                    return node
+                putative, genvars, trace, failure = None, (), None, None
                 try:
-                    putative, genvars, trace = find_invariant(
-                        node, my_post, cfg, fresh, simp_log
-                    )
+                    if my_post is None:
+                        raise EngineFailure(
+                            "MissingPostcondition",
+                            "no postcondition reaches this loop; it needs a trailing {assertion}",
+                        )
+                    putative, genvars, trace = find_invariant(node, my_post, cfg, fresh, simp_log)
+                    node = replace(node, invariant=putative)
                 except EngineFailure as err:
-                    found.append(
-                        LoopDiscovery(loop.line, node, None, (), err.trace, err, my_post)
-                    )
-                    return node
+                    trace, failure = err.trace, err
                 except WlpError as err:
                     failure = EngineFailure("Wlp", str(err))
-                    found.append(
-                        LoopDiscovery(loop.line, node, None, (), None, failure, my_post)
-                    )
-                    return node
-                node = replace(node, invariant=putative)
-                found.append(
-                    LoopDiscovery(loop.line, node, putative, genvars, trace, None, my_post)
-                )
+                found[id(loop)] = LoopDiscovery(loop.line, node, putative, genvars, trace, failure, my_post)
                 return node
             case _:
                 return st
 
     program = visit(triple.program, triple.post)
-    found.sort(key=lambda d: (d.line if d.line is not None else 0))
-    return Triple(triple.pre, program, triple.post), found
+    loops = [found[id(st)] for st in substatements(triple.program) if isinstance(st, While)]
+    return Triple(triple.pre, program, triple.post), loops

@@ -18,7 +18,8 @@ on every input store within the domain bound whose values satisfy the
 precondition.  A template is an atom (the literal 0, 1 or 2, a program
 variable, and for a step the variable's previous value) or an operator
 over two templates of operator depth ≤ 1, so its size is 1, 3, 5 or 7;
-``_Pool`` and ``_tuples`` give the order.  Only sizes 1 and 3 are held
+``_Pool`` orders one size, and every stage scans its candidates by
+total size with ``_Search._survivors``.  Only sizes 1 and 3 are held
 as lists, since six operators over nine atoms give about 1.4 million of
 size 7; a larger size is enumerated as rows (an operator, a left template
 and a list of right ones), building a node only when asked.  Everything
@@ -70,7 +71,7 @@ are then searched jointly across all variables.  When the loop body
 branches at the top level, step candidates additionally include
 conditional expressions choosing between two templates by the branch
 condition.  Their branch templates are prefiltered per template size,
-when the pair enumeration first reaches that size, and each viability
+when the scan of the pairs first reaches that size, and each viability
 test counts against ``max_candidates`` like a candidate.  The assembled
 assignment is re-verified by ``check_requirements``, and that verdict
 is what gets reported.  Each requirement has one check, returning the
@@ -112,10 +113,10 @@ so every count, and the candidate the budget stops at, are those of the
 full check alone.  A step that passes the whole front run, and a
 truncating step error, go on to the full check, which counts the front
 run itself and may put another item in front.  The finals and the
-conditional steps skip the front: the finals scan starts at the
-smallest stores, where a final is usually refuted.  The initials are
-evaluated once per run for each initial that holds, not once per step
-candidate.
+conditional steps are scanned without a front: the finals check starts
+at the smallest stores, where a final is usually refuted.  The initials
+are evaluated once per run for each initial that holds, not once per
+step candidate.
 ``check_requirements`` passes fresh lists in the order the runs were
 collected, smallest input first, so it reports the first counterexample
 in that order.
@@ -319,7 +320,6 @@ def collect_trajectories(
 
 _LITERALS = (0, 1, 2)
 _SIZES = (1, 3, 5, 7)  # the template sizes of operator depth ≤ 2
-Pool = Callable[[int], Iterable[Expr]]  # the templates of one size, in order
 Row = tuple[str | None, int, int, int]  # (op, ls, i, rs); see _Pool
 
 
@@ -356,31 +356,31 @@ class _Pool:
         return r if op is None else Op(op, (self.lists[ls][i], r))
 
 
-def _tuples(pools: list[Pool], max_size: int | None = None) -> Iterator[tuple[Expr, ...]]:
-    """Joint candidates, one template per pool, ordered by total size, then
-    by the sizes left to right, then lexicographically.  A pool is asked
-    for a size only when the enumeration reaches it: a later pool only
-    once each earlier pool has yielded a template of its size."""
-    k = len(pools)
-    sizes = [s for s in _SIZES if max_size is None or s <= max_size]
-    for total in range(k, sizes[-1] * k + 1):
-        for combo in itertools.product(sizes, repeat=k):
-            if sum(combo) != total:
-                continue
-            # An odometer: levels[i] draws pool i's templates for the heads chosen before it.
-            heads: list[Expr] = []
-            levels = [iter(pools[0](combo[0]))]
-            while levels:
-                head = next(levels[-1], None)
-                if head is None:
-                    levels.pop()
-                    if heads:
-                        heads.pop()
-                elif len(levels) == k:
-                    yield (*heads, head)
-                else:
-                    heads.append(head)
-                    levels.append(iter(pools[len(levels)](combo[len(levels)])))
+class _Kept(_Pool):
+    """The templates of `pool` that `keep` holds for, by size: a size is
+    tested in full when it is first asked for, and is then the one row
+    `(None, n, 0, n)`."""
+
+    def __init__(self, pool: _Pool, keep: Callable[[Expr], bool]):
+        self.pool, self.keep, self.lists = pool, keep, {}
+
+    def __call__(self, n: int) -> list[Expr]:
+        if n not in self.lists:
+            self.lists[n] = [t for t in self.pool(n) if self.keep(t)]
+        return self.lists[n]
+
+    def rows(self, n: int) -> Iterator[Row]:
+        self(n)
+        yield None, n, 0, n
+
+
+def _heads(pools: list[_Pool], sizes: list[int]) -> Iterator[tuple[Expr, ...]]:
+    """Each tuple of one template of the given size from each pool, in
+    order.  A later pool is asked for its size only once each earlier
+    pool has given a template."""
+    if not pools:
+        return iter([()])
+    return ((head, *rest) for head in pools[0](sizes[0]) for rest in _heads(pools[1:], sizes[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -854,11 +854,11 @@ def _front_run(conjuncts: list[Expr], pool: _Pool, start: Start, j: int = 0) -> 
 
 class _Front:
     """Requirement 1 or 2 at the front of `items` (the entries or starts
-    that the full check reorders) alone, judged by value.  `prepare(item)`
-    gives the item's first `_Level`, or None when it has none."""
+    that the full check reorders) alone, judged by the values of
+    `genvars`.  `prepare(item)` gives the item's first `_Level`, or None."""
 
-    def __init__(self, items: list, prepare: Callable[..., _Level | None]):
-        self.items, self.prepare = items, prepare
+    def __init__(self, genvars: tuple[str, ...], items: list, prepare: Callable[..., _Level | None]):
+        self.genvars, self.items, self.prepare = genvars, items, prepare
         self.fronts: dict[int, _Level | None] = {}  # by id: items are reordered, never dropped
 
     def current(self) -> _Level | None:
@@ -919,49 +919,42 @@ class _Search:
         if self.stats.candidates_tried > self.cfg.max_candidates:
             raise _Budget()
 
-    def _first(
-        self, candidates: Iterable[dict[str, Expr]], passes: Callable[[dict[str, Expr]], bool]
-    ) -> dict[str, Expr] | None:
-        """The first of `candidates` that `passes`, spending one unit of
-        budget per candidate tried; None when none passes."""
-        for candidate in candidates:
-            self._spend()
-            if passes(candidate):
-                return candidate
-        return None
-
     def _survivors(
-        self, genvars: tuple[str, ...], pools: list[_Pool], front: _Front, max_size: int | None = None
-    ) -> Iterator[dict[str, Expr]]:
-        """The candidates of `_tuples(pools, max_size)` over `genvars` that
-        `front` leaves to the full check, the last pool scanned by rows.
-        Each spends a unit of budget.  The refuted ones up to the next
-        survivor are counted in bulk, before it is yielded or `_Budget`
-        raised at the candidate where the budget runs out."""
+        self, pools: list[_Pool], front: _Front | None = None, max_size: int | None = None
+    ) -> Iterator[tuple[Expr, ...]]:
+        """Joint candidates, one template per pool, by total size, then
+        sizes left to right, then lexicographically: those that `front`, if
+        any, leaves to the full check, the last pool scanned by rows.  Each
+        spends a unit of budget.  The refuted ones up to the next survivor
+        are counted in bulk, before it is yielded or `_Budget` raised at
+        the candidate where the budget runs out."""
         stats, last = self.stats, pools[-1]
-        # The last pool gives just the size asked for; its rows are scanned here.
-        for *heads, n in _tuples([*pools[:-1], lambda n: (n,)], max_size):
-            for row in last.rows(n):
-                j, end = 0, len(last.lists[row[3]])
-                while j < end:
-                    level = front.current()  # the full check may have moved another item to the front
-                    summary = level and level.summary(genvars, heads, row)
-                    room = self.cfg.max_candidates - stats.candidates_tried
-                    stop = min(summary.next(j, end) if summary else j, j + room)
-                    rejected, tested = summary.counts(j, stop) if summary else (0, 0)
-                    stats.candidates_tried += stop - j
-                    stats.eval_rejections += rejected
-                    stats.stores_tested += tested
-                    if stop == end:
-                        break
-                    self._spend()  # a survivor, or the candidate at which the budget runs out
-                    j = stop + 1
-                    counts = level and level.fate(genvars, heads, row, stop)
-                    if counts:
-                        stats.eval_rejections += counts[0]
-                        stats.stores_tested += counts[1]
-                    else:
-                        yield dict(zip(genvars, (*heads, last.template(row, stop))))
+        sizes = [s for s in _SIZES if max_size is None or s <= max_size]
+        # A stable sort keeps the sizes of one total in lexicographic order.
+        for *combo, n in sorted(itertools.product(sizes, repeat=len(pools)), key=sum):
+            for heads in _heads(pools[:-1], combo):
+                for row in last.rows(n):
+                    j, end = 0, len(last.lists[row[3]])
+                    while j < end:
+                        # The full check may have moved another item to the front.
+                        level = front and front.current()
+                        summary = level and level.summary(front.genvars, heads, row)
+                        room = self.cfg.max_candidates - stats.candidates_tried
+                        stop = min(summary.next(j, end) if summary else j, j + room)
+                        rejected, tested = summary.counts(j, stop) if summary else (0, 0)
+                        stats.candidates_tried += stop - j
+                        stats.eval_rejections += rejected
+                        stats.stores_tested += tested
+                        if stop == end:
+                            break
+                        self._spend()  # a survivor, or the candidate at which the budget runs out
+                        j = stop + 1
+                        counts = level and level.fate(front.genvars, heads, row, stop)
+                        if counts:
+                            stats.eval_rejections += counts[0]
+                            stats.stores_tested += counts[1]
+                        else:
+                            yield *heads, last.template(row, stop)
 
     def _preserves(self, comp: _Component, starts: list[Start], step: dict[str, Expr]) -> bool:
         """Requirement 2, plus the search's own demand that the step
@@ -971,10 +964,11 @@ class _Search:
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
         init_pool = _Pool(self.atoms, self.cfg.operator_pool)
-        front = _Front(self.entries, functools.partial(_entry_level, comp.conjuncts, init_pool))
+        front = _Front(comp.genvars, self.entries, functools.partial(_entry_level, comp.conjuncts, init_pool))
         some_initial_held = False
         try:
-            for init in self._survivors(comp.genvars, [init_pool] * len(comp.genvars), front):
+            for heads in self._survivors([init_pool] * len(comp.genvars), front):
+                init = dict(zip(comp.genvars, heads))
                 if _entry_counterexample(comp.conjuncts, init, self.entries, self.stats) is not None:
                     continue
                 some_initial_held = True
@@ -999,61 +993,50 @@ class _Search:
 
     def _find_step(self, comp: _Component, starts: list[Start]) -> dict[str, Expr] | None:
         conditional = self.branch_cond is not None and len(comp.genvars) == 1
+        pools = [_Pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
+        front = _Front(comp.genvars, starts, functools.partial(_front_run, comp.conjuncts, pools[-1]))
         # With a branching body, cap unconditional templates so the
         # conditional stage is reachable within the budget.
-        cap = 5 if conditional else None
-        pools = [_Pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
-        front = _Front(starts, functools.partial(_front_run, comp.conjuncts, pools[-1]))
-        steps = self._survivors(comp.genvars, pools, front, cap)
-        found = next((step for step in steps if self._preserves(comp, starts, step)), None)
-        if found is None and conditional:
-            found = self._find_conditional_step(comp, starts, pools[0])
-        return found
+        steps: Iterable[tuple[Expr, ...]] = self._survivors(pools, front, 5 if conditional else None)
+        if conditional:
+            steps = itertools.chain(steps, self._conditional_steps(comp, starts, pools[0]))
+        candidates = (dict(zip(comp.genvars, t)) for t in steps)
+        return next((step for step in candidates if self._preserves(comp, starts, step)), None)
 
-    def _find_conditional_step(
-        self, comp: _Component, starts: list[Start], pool: Pool
-    ) -> dict[str, Expr] | None:
-        g = comp.genvars[0]
-        cond = self.branch_cond
+    def _conditional_steps(
+        self, comp: _Component, starts: list[Start], pool: _Pool
+    ) -> Iterator[tuple[Expr]]:
+        """Steps choosing between a template for each branch by the branch
+        condition.  A template is kept for a branch when it preserves the
+        invariant on the first transitions that take that branch, where the
+        generalisation variable's value is fixed by the initial; each such
+        test spends a unit of budget."""
+        (g,), cond = comp.genvars, self.branch_cond
         assert cond is not None
-
-        # Viability prefilter on first transitions only, where the
-        # generalisation variable's value is fixed by the initial, split by
-        # the branch taken.  The first pre-store is the entry store, where
-        # requirement 1 holds.
-        firsts: dict[bool, list[tuple[Store, Store]]] = {True: [], False: []}
+        # Split when first asked: the unconditional scan has reordered `starts`.
+        firsts: dict[bool, list[Start]] = {True: [], False: []}
         for run, gvals in starts:
             if run.transitions:
-                pre, post = run.transitions[0]
-                firsts[bool(eval_expr(cond, pre))].append(({**pre, **gvals}, post))
+                firsts[bool(eval_expr(cond, run.entry))].append((LoopRun(run.states[:2]), gvals))
 
-        def viable(expr: Expr, want: bool) -> bool:
+        def viable(want: bool, expr: Expr) -> bool:
             self._spend()
-            todo = firsts[want]
-            for i, (env, post) in enumerate(todo):
-                if not _iterate(comp.conjuncts, {g: expr}, env, post, self.stats)[0]:
-                    _to_front(todo, i)  # the next template tries it first
-                    return False
-            return True
+            return _step_counterexample(comp.conjuncts, {g: expr}, firsts[want], self.stats)[0] is None
 
-        @functools.cache
-        def branches(size: int, want: bool) -> list[Expr]:
-            return [e for e in pool(size) if viable(e, want)]
-
-        pairs = _tuples([lambda s: branches(s, True), lambda s: branches(s, False)])
-        steps = ({g: Case(cond, then, other)} for then, other in pairs)
-        return self._first(steps, lambda step: self._preserves(comp, starts, step))
+        branches = [_Kept(pool, functools.partial(viable, want)) for want in (True, False)]
+        for then, other in self._survivors(branches):
+            yield (Case(cond, then, other),)
 
     def solve_finals(self, post: Expr) -> dict[str, Expr]:
         pool = _Pool(self.atoms, self.cfg.operator_pool)
-        finals = (dict(zip(self.genvars, tup)) for tup in _tuples([pool] * len(self.genvars)))
+        finals = (dict(zip(self.genvars, t)) for t in self._survivors([pool] * len(self.genvars)))
 
         def implies_post(final: dict[str, Expr]) -> bool:
             args = (self.putative, self.genvars, final, self.loop, post, self.cfg, self.stats)
             return _post_counterexample(*args) is None
 
         try:
-            final = self._first(finals, implies_post)
+            final = next(filter(implies_post, finals), None)
             if final is not None:
                 return final
             detail = (

@@ -101,6 +101,16 @@ END
 {y = k ^ n}"""
 
 
+def test_loops_on_one_line_are_listed_in_source_order():
+    src = (
+        "{n >= 0} x := 0; WHILE x < n DO x := x + 1 {x = n}; "
+        "y := 0; WHILE y < x DO y := y + 1 {y = n}"
+    )
+    _, ds = discover(src)
+    assert [d.line for d in ds] == [1, 1]
+    assert [pretty(d.node.cond) for d in ds] == ["x<n", "y<x"]
+
+
 def test_nested_loops_inner_trace_and_outer_reuse():
     _, ds = discover(EXP_NESTED)
     assert [d.line for d in ds] == [4, 8]

@@ -28,7 +28,6 @@ from loopinv.solver import (
     _solve_for,
     _starts,
     _step_counterexample,
-    _tuples,
     check_requirements,
     collect_trajectories,
     diagnose_lost_variables,
@@ -169,20 +168,36 @@ def test_templates_ordered_by_size_then_structure():
     assert size7[len(size3) ** 2] == Op("-", (size3[0], size3[0]))
 
 
+def scan(pools, max_size=None):
+    """The witness search's candidate scan over `pools` with no front:
+    every joint candidate, in order."""
+    t = parse_program("{0 = 0} WHILE x < 1 DO x := x + 1 {0 = 0}")
+    search = solver._Search(t, t.program, e("x = g"), ("g",), SolverConfig(), SolveStats(), [])
+    return search._survivors(pools, None, max_size)
+
+
 def test_tuples_draw_templates_lazily():
-    pool = _Pool([Num(0), Var("a")], ("+", "-"))
-    drawn = []
+    drawn, built = [], []
 
-    def counting(n):
-        for t in pool(n):
-            if n == 7:
-                drawn.append(t)
-            yield t
+    class Counting(_Pool):
+        def __call__(self, n):
+            for t in super().__call__(n):
+                if n == 7:
+                    drawn.append(t)
+                yield t
 
-    first7 = next(tup for tup in _tuples([counting]) if drawn)
     zero = Op("+", (Num(0), Num(0)))
-    assert drawn == [Op("+", (zero, zero))]
-    assert first7 == tuple(drawn)
+    first7 = Op("+", (zero, zero))
+    # A head pool is drawn from only as far as the scan has reached.
+    heads = Counting([Num(0), Var("a")], ("+", "-"))
+    got = next(tup for tup in scan([heads, _Pool([Num(1)], ("+",))]) if drawn)
+    assert drawn == [first7] and got == (first7, Num(1))
+    # The last pool's templates are built one at a time as they are reached.
+    post_init = Op.__post_init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Op, "__post_init__", lambda node: post_init(node) or built.append(node))
+        got = next(tup for tup in scan([_Pool([Num(0), Var("a")], ("+", "-"))]) if size(tup[0]) == 7)
+    assert [t for t in built if size(t) == 7] == [first7] and got == (first7,)
 
 
 def reference_tuples(pools, max_size=None):
@@ -203,7 +218,7 @@ def reference_tuples(pools, max_size=None):
 )
 def test_tuples_match_a_reference_enumeration(atoms, max_size):
     pools = [_Pool(a, ("+", "^")) for a in atoms]
-    assert list(_tuples(pools, max_size)) == list(reference_tuples(pools, max_size))
+    assert list(scan(pools, max_size)) == list(reference_tuples(pools, max_size))
 
 
 def test_template_operators_must_be_arithmetic():
@@ -214,7 +229,7 @@ def test_template_operators_must_be_arithmetic():
 
 def test_tuple_candidates_ordered_by_total_size():
     pool = _Pool([Num(0), Num(1)], ("+",))
-    pairs = list(_tuples([pool, pool], max_size=3))
+    pairs = list(scan([pool, pool], max_size=3))
     sizes = [
         (1 if isinstance(a, Num) else 3, 1 if isinstance(b, Num) else 3) for a, b in pairs
     ]
@@ -254,7 +269,7 @@ def test_check_outcomes_do_not_depend_on_run_order():
     initial = {g_count: Var("n"), g_power: e("k ^ n")}
     atoms = [Num(0), Num(1), Num(2), Var("k"), Var("n"), Var("x"), Var("y")]
     pools = [_Pool(atoms + [Var(g)], ("-", "/")) for g in d.genvars]
-    steps = [dict(zip(d.genvars, tup)) for tup in itertools.islice(_tuples(pools), 400)]
+    steps = [dict(zip(d.genvars, tup)) for tup in itertools.islice(scan(pools), 400)]
     steps.append({g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")})
     rng = random.Random(6)
     for _ in range(3):
@@ -901,7 +916,7 @@ def exp_simple_front(k, transitions):
     atoms = [Num(0), Num(1), Num(2), Var("k"), Var("n"), Var("x"), Var("y"), Var(g_power)]
     pool = _Pool(atoms, SolverConfig().operator_pool)
     prepare = functools.partial(solver._front_run, conjuncts, pool)
-    return conjuncts, starts, pool, solver._Front(starts, prepare)
+    return conjuncts, starts, pool, solver._Front(d.genvars, starts, prepare)
 
 
 def test_a_division_step_still_truncates_on_the_k0_runs():
@@ -984,8 +999,7 @@ def test_a_two_variable_component_is_judged_at_the_front(monkeypatch):
 # --- conditional steps ----------------------------------------------------------------
 
 
-def test_branching_body_gets_conditional_step():
-    src = """{n >= 1}
+BRANCHING = """{n >= 1}
 x := n;
 y := 1;
 WHILE x > 0 DO
@@ -994,21 +1008,53 @@ BEGIN
   x := x - 1
 END
 {0 = 0}"""
-    t = parse_program(src)
+
+
+def solve_branching(max_candidates):
+    t = parse_program(BRANCHING)
     loop = t.program.second.second
     assert isinstance(loop, While)
-    putative = e("y = g")
-    cfg = SolverConfig(operator_pool=("+", "-", "*"), max_candidates=100_000)
-    report = solve(t, loop, putative, ("g",), t.post, cfg)
+    cfg = SolverConfig(operator_pool=("+", "-", "*"), max_candidates=max_candidates)
+    return solve(t, loop, e("y = g"), ("g",), t.post, cfg)
+
+
+def test_branching_body_gets_conditional_step():
+    report = solve_branching(100_000)
     step = report.assignment.step["g"]
     assert isinstance(step, Case)
     assert step.cond == e("x % 2 = 1")
     assert report.verdict == VerifiedUpToBound(bound=6)
-    assert report.stats.candidates_tried == 6683
+    # Candidates 6,331 to 6,682 are the conditional stage: the branch
+    # templates of each size are prefiltered when the pairs first reach
+    # it, trying the first transitions that refuted the last template first.
+    assert report.stats == SolveStats(
+        candidates_tried=6683, stores_tested=7879, runs_collected=6
+    )
     # The chosen branches track the doubling and the idle path.
     store = {"x": 3, "y": 5, "n": 3, "g": 5}
     assert eval_expr(step.then, store) == 10
     assert eval_expr(step.other, store) == 5
+
+
+@pytest.mark.parametrize(
+    "budget, requirement, stores_tested",
+    [
+        (6_335, 2, 7_309),  # prefiltering the then branch's templates of size 1
+        (6_400, 2, 7_397),  # prefiltering the else branch's size 3, after the first pairs
+        (6_500, 2, 7_538),  # among the pairs of a size-1 and a size-3 template
+        (6_682, 3, 7_830),  # at the first final
+    ],
+)
+def test_the_budget_runs_out_inside_the_conditional_stage_and_finals(
+    budget, requirement, stores_tested
+):
+    with pytest.raises(SolverFailure) as err:
+        solve_branching(budget)
+    assert err.value.requirement == requirement
+    assert "budget" in err.value.detail
+    assert err.value.stats == SolveStats(
+        candidates_tried=budget + 1, stores_tested=stores_tested, runs_collected=6
+    )
 
 
 # --- independent requirement checking ----------------------------------------------
