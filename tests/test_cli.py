@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +278,48 @@ def test_verify_reports_a_counterexample_with_the_smallest_maximum(capsys, monke
     code, out, _ = run(capsys, "verify", "-")
     assert code == 1
     assert out.splitlines() == ["global condition: fails at x=2 y=2"]
+
+
+@pytest.mark.parametrize(
+    "pre, post, bound, counterexample",
+    [
+        # x / y fails at y = 0: the antecedent fails there, so does the
+        # implication, although z = 0 holds.
+        ("x / y = 0 /\\ z = x", "z = 0", 6, "x=0 y=0 z=0"),
+        # z ^ (z ^ x) may be too wide in the box, which rules out solving
+        # the antecedent for y; the zero store refutes the post.
+        ("z ^ (z ^ x) = y", "y = 1", 6, "x=0 y=0 z=0"),
+        # An antecedent that cannot fail: y is solved for, x = 0 y = 1
+        # is the first store of the box where y = x + 1 holds and y > 1 not.
+        ("y = x + 1", "y > 1", 6, "x=0 y=1"),
+    ],
+    ids=["division-by-zero", "power-tower", "solved"],
+)
+def test_verify_counterexample_where_the_antecedent_fails_or_pins(
+    capsys, monkeypatch, pre, post, bound, counterexample
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{{{pre}}} SKIP {{{post}}}"))
+    code, out, _ = run(capsys, "verify", "-", "--bound", str(bound))
+    assert code == 1
+    assert out.splitlines() == [f"global condition: fails at {counterexample}"]
+
+
+def test_a_closed_pipe_ends_quietly_with_the_verdicts_code(programs):
+    # `discover … --format json | head -1`: the reader is gone before the
+    # report is written, which is no counterexample.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = ["discover", str(programs / "exp_simple.imp"), "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loopinv.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 @pytest.mark.parametrize(

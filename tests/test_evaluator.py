@@ -19,8 +19,10 @@ from loopinv.evaluator import (
     ExecError,
     Finished,
     FuelExhausted,
+    ceiling,
     eval_expr,
     exec_stmt,
+    first_store,
     holds,
     stores,
 )
@@ -36,6 +38,7 @@ from loopinv.terms import (
     Op,
     Var,
     While,
+    free_vars,
     substatements,
     view,
 )
@@ -450,6 +453,84 @@ def test_compiled_evaluation_matches_the_tree_walker(expr, store):
 @given(nat_exprs | formulas, store_draws)
 def test_compiled_evaluation_matches_the_tree_walker_when_well_sorted(expr, store):
     agree(expr, store)
+
+
+# --- the first qualifying store --------------------------------------------
+
+
+def scanned(names, holding, failing, bound):
+    """`first_store` as the plain scan of `stores` that it replaces."""
+    for position, store in enumerate(stores(names, bound), 1):
+        if all(holds(c, store) for c in holding) and not any(holds(f, store) for f in failing):
+            return store, position
+    return None, (bound + 1) ** len(names)
+
+
+@st.composite
+def boxes(draw):
+    """Names, formulas over them that must hold and that must not, and a
+    bound.  A holding formula may be an equation with one variable alone,
+    or under + and *, on one side, which pins it when it occurs there
+    once and nowhere else."""
+    names = draw(st.lists(st.sampled_from("wxyz"), min_size=1, max_size=4, unique=True))
+    pinned = draw(st.sampled_from(names))
+
+    def terms(names):
+        leaves = st.sampled_from([Num(0), Num(1), Num(2), Num(3), *map(Var, names)])
+        return st.recursive(leaves, lambda kids: binary(NAT_OPS, kids, kids), max_leaves=4)
+
+    relations = binary(REL_OPS, terms(names), terms(names))
+    others = terms([n for n in names if n != pinned])
+    chains = st.recursive(
+        st.just(Var(pinned)),
+        lambda kids: binary(("+", "*"), kids, others) | binary(("+", "*"), others, kids),
+        max_leaves=3,
+    )
+    equations = st.builds(lambda a, b: Op("=", (a, b)), chains, others | terms(names))
+    holding = draw(st.lists(equations, max_size=2)) + draw(st.lists(relations, max_size=1))
+    failing = draw(st.lists(relations | binary(BOOL_BINOPS, relations, relations), max_size=1))
+    return names, holding, failing, draw(st.integers(0, 5))
+
+
+@given(boxes())
+@example((["x", "y"], [e("y = x * 2")], [e("y < 3")], 5))  # y is pinned
+@example((["k", "x", "y"], [e("y = x * k"), e("x > 0")], [e("y >= k")], 4))  # k is pinned
+@example((["x", "y"], [e("x = x + y")], [], 3))  # x occurs twice: y is pinned to 0
+@example((["x", "y"], [e("x < y")], [e("x + 1 = y")], 5))  # nothing is pinned
+@example((["x", "y"], [e("y = 7")], [], 5))  # pinned beyond the bound
+def test_first_store_is_the_plain_scans(box):
+    names = box[0]
+    store, position = first_store(*box)
+    assert (store, position) == scanned(*box)
+    assert store is None or list(store) == names
+
+
+def test_a_solved_variable_takes_one_value_per_store_of_the_others(monkeypatch):
+    # y = x + k pins k to y - x where y >= x: of the 5 * 5 stores of x and
+    # y, 15 get one value of k, and the others none, so no store qualifies
+    # after testing 15 stores of the 125.
+    tested = []
+    monkeypatch.setattr(evaluator, "holds", lambda c, s: tested.append(s) or holds(c, s))
+    assert first_store(["k", "x", "y"], [e("y = x + k")], [e("y >= k")], 4) == (None, 125)
+    assert len({tuple(s.values()) for s in tested}) == 15
+
+
+@settings(max_examples=200)
+@given(nat_exprs | formulas, st.integers(0, 4))
+def test_ceiling_bounds_every_value_in_the_box(expr, bound):
+    top = ceiling(expr, bound)
+    if top is not None:  # then nothing fails to evaluate in the box
+        for store in stores(sorted(free_vars(expr)), bound):
+            assert eval_expr(expr, store) <= top
+
+
+def test_ceiling_fails_on_what_may_raise():
+    assert ceiling(e("x / 2 + y % 3 * x"), 6) == 6 + 6 * 6
+    assert ceiling(e("x / 0"), 6) is None and ceiling(e("x / y"), 6) is None
+    assert ceiling(e("x ^ 3"), 6) == 216 and ceiling(e("x ^ y"), 0) == 1
+    assert ceiling(e("x ^ (x ^ x)"), 6) is None  # 6^46656 is wider than MAX_BITS
+    assert ceiling(e("x * x"), 2**2048) is None
+    assert ceiling(e("x < 1 / y"), 6) is None and ceiling(e("x < 1 \\/ y = 2"), 6) == 1
 
 
 # --- evaluation order and short-circuiting ------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopinv.engine import annotate_program
-from loopinv.evaluator import EvalError, eval_expr
+from loopinv.evaluator import EvalError, _solve_for, eval_expr
 from loopinv.parser import parse_expression, parse_program, pretty
 from loopinv.solver import (
     Assignment,
@@ -25,7 +25,6 @@ from loopinv.solver import (
     _iterate,
     _Pool,
     _entry_counterexample,
-    _solve_for,
     _starts,
     _step_counterexample,
     check_requirements,
@@ -34,7 +33,7 @@ from loopinv.solver import (
     input_vars,
     solve,
 )
-from loopinv import solver
+from loopinv import evaluator, solver
 from loopinv.terms import Case, Num, Op, Var, While, free_vars, view
 from loopinv.wlp import top_conjuncts
 
@@ -553,7 +552,7 @@ def test_inversion_plans_are_cached_on_the_conjunct(monkeypatch):
     before = (hash(c), repr(c))
     assert _solve_for(c, "g", {"x": 1, "y": 2, "n": 7}) == 3
     walked = []
-    monkeypatch.setattr(solver, "free_vars", lambda t: walked.append(t) or free_vars(t))
+    monkeypatch.setattr(evaluator, "free_vars", lambda t: walked.append(t) or free_vars(t))
     assert _solve_for(c, "g", {"x": 1, "y": 0, "n": 1}) == _ANY
     assert _solve_for(c, "g", {"x": 9, "y": 1, "n": 7}) == _NONE
     assert walked == []
