@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, recursive-descent parser, and pretty-printer.
+"""Concrete syntax: lexer, recursive-descent parser, and expression printer.
 
 Input files have the shape ``{pre} statements {post}``.  Assertions and
 program expressions share one grammar.  Operator precedence, loosest to
@@ -373,17 +373,13 @@ def parse_program(text: str) -> Triple:
 # Pretty-printing
 
 
-def pretty(x: Expr | Stmt | Triple) -> str:
-    """Render with unicode operators and minimal parentheses.
+def pretty(e: Expr) -> str:
+    """Render an expression with unicode operators and minimal parentheses.
 
     Arithmetic and relational operators print tight (``x+1``, ``x%2=1``);
     boolean connectives are spaced.
     """
-    if isinstance(x, Triple):
-        return f"{{{pretty(x.pre)}}}\n{pretty(x.program)}\n{{{pretty(x.post)}}}"
-    if isinstance(x, Stmt):
-        return _pretty_stmt(x)
-    return _pretty_expr(x, 0, "")
+    return _pretty_expr(e, 0, "")
 
 
 def _pretty_expr(e: Expr, parent: int, side: str) -> str:
@@ -417,31 +413,3 @@ def _pretty_expr(e: Expr, parent: int, side: str) -> str:
             return f"({body})" if parent > 0 else body
         case _:
             raise TypeError(f"not an Expr: {e!r}")
-
-
-def _pretty_stmt(st: Stmt) -> str:
-    match st:
-        case Skip():
-            return "SKIP"
-        case Assign(var, rhs):
-            return f"{var} := {pretty(rhs)}"
-        case Seq(a, b):
-            return f"{_pretty_stmt(a)}; {_pretty_stmt(b)}"
-        case If(cond, t, e):
-            s = f"IF {pretty(cond)} THEN {_pretty_stmt(t)}"
-            if e != Skip():
-                s += f" ELSE {_pretty_stmt(e)}"
-            return s
-        case Block(locs, body):
-            if locs:
-                return f"BEGIN VAR {', '.join(locs)}; {_pretty_stmt(body)} END"
-            return f"BEGIN {_pretty_stmt(body)} END"
-        case While(cond, body, invariant, post):
-            inv = f" {{{pretty(invariant)}}}" if invariant is not None else ""
-            tail = f" {{{pretty(post)}}}" if post is not None else ""
-            inner = _pretty_stmt(body)
-            if isinstance(body, Seq):
-                inner = f"BEGIN {inner} END"
-            return f"WHILE {pretty(cond)} DO{inv} {inner}{tail}"
-        case _:
-            raise TypeError(f"not a Stmt: {st!r}")

@@ -110,7 +110,6 @@ class _Simplifier:
         self.log = log
         self.steps = 0
         self.exhausted = False
-        self._refute_cache: dict[tuple[Expr, ...], bool] = {}
 
     def enabled(self, rule: str) -> bool:
         return rule not in self.cfg.disabled_rules
@@ -141,10 +140,7 @@ class _Simplifier:
     def _implication(self, c: Op, facts: list[Expr]) -> list[Expr]:
         antecedent, consequent = c.args
         probe = facts + top_conjuncts(antecedent) + top_conjuncts(consequent)
-        key = tuple(probe)
-        if key not in self._refute_cache:
-            self._refute_cache[key] = refuted(probe, self.cfg.refutation_bound)
-        if self._refute_cache[key]:
+        if refuted(probe, self.cfg.refutation_bound):
             if self._spend():
                 self._fire("R5", facts, c, TRUE, heuristic=True)
             return [TRUE]

@@ -283,71 +283,60 @@ class Triple:
     post: Expr
 
 
-def assigned_vars(st: Stmt) -> frozenset[str]:
-    """Variables a statement can observably assign (block locals excluded,
-    since they are restored on block exit)."""
+# The variable analyses below are folds over one scoped walk, `scopes`, the
+# one place that decides that a block hides its locals.  The other statement
+# walks are the semantics (`evaluator._run`, `wlp._wlp`), discovery's rebuild
+# (`engine.annotate_program`), and control-flow analyses that a pre-order fold
+# cannot express (`solver.input_vars`, `wlp.first_loops`, `solver._top_branch`).
+
+
+def scopes(st: Stmt, hidden: frozenset[str] = frozenset()) -> Iterator[tuple[Stmt, frozenset[str]]]:
+    """`st` and every statement nested in it in pre-order (a statement before
+    its parts, parts in source order), each with the block locals in scope
+    around it: `hidden` and those of the blocks in `st` that enclose it."""
+    yield st, hidden
     match st:
-        case Skip():
-            return frozenset()
-        case Assign(var, _):
-            return frozenset((var,))
-        case Seq(a, b):
-            return assigned_vars(a) | assigned_vars(b)
-        case If(_, t, e):
-            return assigned_vars(t) | assigned_vars(e)
+        case Seq(a, b) | If(_, a, b):
+            yield from scopes(a, hidden)
+            yield from scopes(b, hidden)
         case Block(locs, body):
-            return assigned_vars(body) - frozenset(locs)
+            yield from scopes(body, hidden | frozenset(locs))
         case While(_, body):
-            return assigned_vars(body)
-        case _:
-            raise TypeError(f"not a Stmt: {st!r}")
+            yield from scopes(body, hidden)
+
+
+def _own_vars(st: Stmt) -> frozenset[str]:
+    """The variables `st` mentions itself, not in its parts: an assignment's
+    target and right-hand side, a branch's or loop's condition (not its annotations)."""
+    match st:
+        case Assign(var, rhs):
+            return free_vars(rhs) | {var}
+        case If(cond, _, _) | While(cond, _):
+            return free_vars(cond)
+    return frozenset()
 
 
 def substatements(st: Stmt) -> Iterator[Stmt]:
-    """`st` and every statement nested in it, in pre-order: a statement
-    before its parts, and parts in source order."""
-    yield st
-    match st:
-        case Seq(a, b) | If(_, a, b):
-            yield from substatements(a)
-            yield from substatements(b)
-        case Block(_, body) | While(_, body):
-            yield from substatements(body)
+    """`st` and every statement nested in it, in pre-order."""
+    return (s for s, _ in scopes(st))
+
+
+def assigned_vars(st: Stmt) -> frozenset[str]:
+    """Variables a statement can observably assign (block locals excluded,
+    since they are restored on block exit)."""
+    return frozenset(s.var for s, hidden in scopes(st) if isinstance(s, Assign) and s.var not in hidden)
 
 
 def program_vars(t: Triple) -> frozenset[str]:
-    """Every variable the triple's executable parts or contracts mention
-    (loop annotations excluded)."""
-    names = set(free_vars(t.pre) | free_vars(t.post))
-    for st in substatements(t.program):
-        match st:
-            case Assign(var, rhs):
-                names |= {var} | free_vars(rhs)
-            case If(cond, _, _) | While(cond, _):
-                names |= free_vars(cond)
-            case Block(locs, _):
-                names.update(locs)
-    return frozenset(names)
+    """Every variable the triple's executable parts or contracts mention,
+    block locals included (loop annotations excluded)."""
+    names = free_vars(t.pre) | free_vars(t.post)
+    return names.union(*(_own_vars(s) | hidden for s, hidden in scopes(t.program)))
 
 
 def global_vars(t: Triple) -> frozenset[str]:
     """The variables that a store holds before the program runs: those the
     contracts mention, and those the program mentions outside the blocks
     that declare them."""
-
-    def outer(st: Stmt) -> frozenset[str]:
-        match st:
-            case Assign(var, rhs):
-                return free_vars(rhs) | {var}
-            case Seq(a, b):
-                return outer(a) | outer(b)
-            case If(cond, a, b):
-                return free_vars(cond) | outer(a) | outer(b)
-            case While(cond, body):
-                return free_vars(cond) | outer(body)
-            case Block(locs, body):
-                return outer(body) - set(locs)
-            case _:
-                return frozenset()
-
-    return free_vars(t.pre) | free_vars(t.post) | outer(t.program)
+    names = free_vars(t.pre) | free_vars(t.post)
+    return names.union(*(_own_vars(s) - hidden for s, hidden in scopes(t.program)))

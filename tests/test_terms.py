@@ -28,7 +28,9 @@ from loopinv.terms import (
     global_vars,
     program_vars,
     renaming_of,
+    scopes,
     sort_of,
+    substatements,
     substitute,
 )
 
@@ -183,6 +185,12 @@ def test_global_vars_leave_out_names_only_a_block_declares():
     assert global_vars(shadowing) == {"n", "t", "y"}
 
 
+def test_scopes_pair_each_statement_with_the_block_locals_around_it():
+    t = parse_program("{n >= 0} t := 9; BEGIN VAR t, u; u := t END; y := t {n >= 0}")
+    assigns = [(s.var, hidden) for s, hidden in scopes(t.program) if isinstance(s, Assign)]
+    assert assigns == [("t", set()), ("u", {"t", "u"}), ("y", set())]
+
+
 def test_while_line_does_not_affect_equality():
     a = While(TRUE, Skip(), line=3)
     b = While(TRUE, Skip(), line=7)
@@ -217,3 +225,93 @@ def test_substitute_identity(e):
 def test_renaming_of_self_is_identity_map(e):
     r = renaming_of(e, e, {"g1"})
     assert r is not None and all(k == val for k, val in r.items())
+
+
+# Statements over few names, so that blocks often shadow an outer name and
+# nest inside loops and branches; loop annotations are drawn too, since
+# no variable analysis may read them.
+def stmts():
+    conds = st.tuples(exprs(2), exprs(2)).map(lambda t: Op("<", t))
+    base = st.one_of(st.just(Skip()), st.tuples(_names, exprs(2)).map(lambda t: Assign(*t)))
+    annotation = st.none() | conds
+    return st.recursive(
+        base,
+        lambda kids: st.one_of(
+            st.tuples(kids, kids).map(lambda t: Seq(*t)),
+            st.tuples(conds, kids, kids).map(lambda t: If(*t)),
+            st.tuples(conds, kids, annotation, annotation).map(lambda t: While(*t)),
+            st.tuples(st.lists(_names, unique=True, max_size=2).map(tuple), kids).map(lambda t: Block(*t)),
+        ),
+        max_leaves=12,
+    )
+
+
+# The separate recursions that each analysis had before they became folds
+# over one scoped walk, kept as the reference the folds must agree with.
+
+
+def _ref_assigned_vars(s):
+    match s:
+        case Skip():
+            return frozenset()
+        case Assign(var, _):
+            return frozenset((var,))
+        case Seq(a, b):
+            return _ref_assigned_vars(a) | _ref_assigned_vars(b)
+        case If(_, t, e):
+            return _ref_assigned_vars(t) | _ref_assigned_vars(e)
+        case Block(locs, body):
+            return _ref_assigned_vars(body) - frozenset(locs)
+        case While(_, body):
+            return _ref_assigned_vars(body)
+
+
+def _ref_substatements(s):
+    yield s
+    match s:
+        case Seq(a, b) | If(_, a, b):
+            yield from _ref_substatements(a)
+            yield from _ref_substatements(b)
+        case Block(_, body) | While(_, body):
+            yield from _ref_substatements(body)
+
+
+def _ref_program_vars(t):
+    names = set(free_vars(t.pre) | free_vars(t.post))
+    for s in _ref_substatements(t.program):
+        match s:
+            case Assign(var, rhs):
+                names |= {var} | free_vars(rhs)
+            case If(cond, _, _) | While(cond, _):
+                names |= free_vars(cond)
+            case Block(locs, _):
+                names.update(locs)
+    return frozenset(names)
+
+
+def _ref_global_vars(t):
+    def outer(s):
+        match s:
+            case Assign(var, rhs):
+                return free_vars(rhs) | {var}
+            case Seq(a, b):
+                return outer(a) | outer(b)
+            case If(cond, a, b):
+                return free_vars(cond) | outer(a) | outer(b)
+            case While(cond, body):
+                return free_vars(cond) | outer(body)
+            case Block(locs, body):
+                return outer(body) - set(locs)
+            case _:
+                return frozenset()
+
+    return free_vars(t.pre) | free_vars(t.post) | outer(t.program)
+
+
+@given(stmts(), exprs(2), exprs(2))
+def test_statement_analyses_match_their_recursive_definitions(program, lhs, rhs):
+    t = Triple(Op("≤", (lhs, rhs)), program, Op("=", (rhs, lhs)))
+    assert [id(s) for s in substatements(program)] == [id(s) for s in _ref_substatements(program)]
+    assert assigned_vars(program) == _ref_assigned_vars(program)
+    assert program_vars(t) == _ref_program_vars(t)
+    assert global_vars(t) == _ref_global_vars(t)
