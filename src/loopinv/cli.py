@@ -46,8 +46,8 @@ from .solver import (
     diagnose_lost_variables,
     solve,
 )
-from .terms import Expr, Op, Triple, While, free_vars, program_vars, substatements
-from .wlp import Obligation, WlpError, first_loops, top_conjuncts, wlp
+from .terms import Expr, Op, Triple, While, free_vars, program_vars, substatements, top_conjuncts
+from .wlp import Obligation, WlpError, first_loops, wlp
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -275,7 +275,7 @@ def _counterexample(formula: Expr, bound: int) -> dict[str, int] | None:
         antecedent, consequent = formula.args
         if ceiling(antecedent, bound) is not None:
             holding, failing = top_conjuncts(antecedent), [consequent]
-    return first_store(sorted(free_vars(formula)), holding, failing, bound)[0]
+    return first_store(holding, failing, bound)[0]
 
 
 def _verify(triple: Triple, args: argparse.Namespace) -> int:

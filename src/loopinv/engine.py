@@ -45,8 +45,9 @@ from .terms import (
     renaming_of,
     sort_of,
     substatements,
+    top_conjuncts,
 )
-from .wlp import WlpError, top_conjuncts, wlp
+from .wlp import WlpError, wlp
 
 
 @dataclass(frozen=True)

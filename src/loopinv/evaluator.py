@@ -20,11 +20,12 @@ loop node may be watched: each completed visit to it is recorded as the
 store at every test of its guard, from entry to exit, which is how
 trajectory collection is implemented.
 
-Every bounded check over a box of stores is one search, ``first_store``.
-Where an equation that must hold pins a variable, that variable is
-solved for (``_solve_for``, inverting ``+`` and ``*``) rather than
-enumerated; the witness search uses the same inversion to judge step
-errors.
+Every bounded check over a box of stores is one search, ``first_store``,
+and the box is the free variables of the formulas it tests: no caller
+works it out.  Where an equation that must hold pins a variable, that
+variable is solved for (``_solve_for``, inverting ``+`` and ``*``)
+rather than enumerated; the witness search uses the same inversion to
+judge step errors.
 """
 
 from __future__ import annotations
@@ -338,14 +339,11 @@ def _admitted(conjuncts: list[Expr], g: str, env: Store) -> int | None:
     return None if unknown and result == _ANY else result
 
 
-
-
-def first_store(
-    names: list[str], holding: list[Expr], failing: list[Expr], bound: int
-) -> tuple[Store | None, int]:
-    """The first store of `stores(names, bound)` where every formula of
-    `holding` holds and none of `failing` does, and its 1-based position
-    in that order; (None, the number of stores) when no store qualifies.
+def first_store(holding: list[Expr], failing: list[Expr], bound: int) -> tuple[Store | None, int]:
+    """The first store of `stores(names, bound)`, `names` the sorted free
+    variables of the formulas, where every formula of `holding` holds and
+    none of `failing` does, and its 1-based position in that order; (None,
+    the number of stores) when no store qualifies.
 
     A variable that an equation of `holding` solves for exactly is
     pinned: the other variables are enumerated, and the pinned one takes
@@ -358,6 +356,7 @@ def first_store(
     def qualifies(store: Store) -> bool:
         return all(holds(c, store) for c in holding) and not any(holds(f, store) for f in failing)
 
+    names = sorted(frozenset().union(*map(free_vars, holding + failing)))
     pin = next((g for g in names if any(_pins(c, g) for c in holding)), None)
     if pin is None:
         for position, store in enumerate(stores(names, bound), 1):

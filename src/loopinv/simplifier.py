@@ -41,8 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .evaluator import eval_expr, first_store
-from .terms import Ctor, Expr, Num, Op, REL_OPS, TRUE, conjoin, free_vars
-from .wlp import top_conjuncts
+from .terms import Ctor, Expr, Num, Op, REL_OPS, TRUE, conjoin, top_conjuncts
 
 RULE_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6")
 
@@ -84,19 +83,27 @@ _RIGHT_ASSOC = ("+", "*", "∧", "∨")
 def refuted(conjuncts: list[Expr], bound: int) -> bool:
     """Whether no store with all variables ≤ bound satisfies every
     conjunct; a store where evaluation fails is no witness."""
-    names = sorted(set().union(*(free_vars(c) for c in conjuncts)) if conjuncts else set())
-    return first_store(names, conjuncts, [], bound)[0] is None
+    return first_store(conjuncts, [], bound)[0] is None
+
+
+def _pushed(e: Expr) -> Expr | None:
+    """One R1 step at the root of `e`: a negated relation flipped, or a
+    double negation dropped; None when `e` is neither."""
+    match e:
+        case Op("¬", (Op(rel, (a, b)),)) if rel in _NEG_FLIP:
+            return Op(_NEG_FLIP[rel], (a, b))
+        case Op("¬", (Op("¬", (a,)),)):
+            return a
+    return None
 
 
 def _normalize_fact(e: Expr) -> Expr:
     """Push negations (R1 closure) and flip %2-disequalities so fact
     matching in R3/R4 is purely structural.  Facts are never output, so
     this is silent."""
+    if (after := _pushed(e)) is not None:
+        return _normalize_fact(after)
     match e:
-        case Op("¬", (Op(rel, (a, b)),)) if rel in _NEG_FLIP:
-            return _normalize_fact(Op(_NEG_FLIP[rel], (a, b)))
-        case Op("¬", (Op("¬", (a,)),)):
-            return _normalize_fact(a)
         case Op("≠", (Op("%", (x, Num(2))) as lhs, Num(1))):
             return Op("=", (lhs, Num(0)))
         case Op("≠", (Op("%", (x, Num(2))) as lhs, Num(0))):
@@ -177,18 +184,12 @@ class _Simplifier:
     # -- individual rules ----------------------------------------------------
 
     def _r1(self, e: Expr, facts: list[Expr]) -> Expr:
-        while True:
-            match e:
-                case Op("¬", (Op(rel, (a, b)),)) if rel in _NEG_FLIP:
-                    after: Expr = Op(_NEG_FLIP[rel], (a, b))
-                case Op("¬", (Op("¬", (a,)),)):
-                    after = a
-                case _:
-                    return e
+        while (after := _pushed(e)) is not None:
             if not self._spend():
                 return e
             self._fire("R1", facts, e, after)
             e = after
+        return e
 
     def _r2(self, e: Expr, facts: list[Expr]) -> Expr:
         while (

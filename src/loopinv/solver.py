@@ -43,9 +43,9 @@ truncates, as it always did.  That shape analysis is done once per
 conjunct and variable and kept on the conjunct's node, so a failing
 step costs only the evaluation of the operands it names.  The search,
 its conditional-step prefilter and ``check_requirements`` all apply
-this one rule.  A step must still validate at least one transition
-somewhere when transitions exist, so perpetually-erroring junk like v/0
-still loses.
+this one rule, in the one-transition step ``_advance``.  A step must
+still validate at least one transition somewhere when transitions
+exist, so perpetually-erroring junk like v/0 still loses.
 
 Before any search, each single-variable component is tested for a
 witness that cannot exist: an entry store where the invariant admits no
@@ -150,13 +150,12 @@ from .terms import (
     Triple,
     Var,
     While,
-    assigned_vars,
     free_vars,
     global_vars,
-    substatements,
+    scopes,
     substitute,
+    top_conjuncts,
 )
-from .wlp import top_conjuncts
 
 
 @dataclass(frozen=True)
@@ -184,6 +183,11 @@ class Assignment:
 
 @dataclass
 class SolveStats:
+    """The work of one `solve`: trajectory collection and the search.  The
+    re-check by `check_requirements` inside `solve` counts into a
+    SolveStats of its own, which is dropped, so `stores_tested` counts the
+    search's stores only."""
+
     candidates_tried: int = 0
     stores_tested: int = 0
     eval_rejections: int = 0
@@ -422,15 +426,6 @@ def _split_components(
     return list(groups.values()), base
 
 
-def _excused(failed: list[str], env_post: Store, conjuncts: list[Expr]) -> bool:
-    """Whether a step whose variables `failed` did not evaluate may
-    truncate the run: at `env_post` (the post-store with the other
-    variables' next values) the conjuncts leave the next value of every
-    failing variable undetermined, or cannot tell.  Otherwise the error
-    rejects the candidate."""
-    return all(_admitted(conjuncts, g, env_post) in (_ANY, None) for g in failed)
-
-
 def _no_witness(comp: _Component, runs: list[LoopRun]) -> tuple[int, str] | None:
     """(requirement, reason) when the runs alone show that no witness
     exists for a single-variable component: an entry store admits no
@@ -525,27 +520,22 @@ def _starts(initial: dict[str, Expr], runs: list[LoopRun]) -> list[Start]:
     return [(run, {g: eval_expr(e, run.entry) for g, e in initial.items()}) for run in runs]
 
 
-def _iterate(
-    conjuncts: list[Expr], step: dict[str, Expr], env_pre: Store, post: Store, stats: SolveStats
-) -> tuple[bool, dict[str, int] | None]:
-    """Requirement 2 on one observed iteration, from `env_pre` (the
-    pre-store with the generalisation variables' current values) to
-    `post`.  (False, _) when `step` refutes it: a step error that
-    `_excused` does not allow, or conjuncts failing at the post-store;
-    (True, None) when a step error truncates the run; otherwise (True,
-    the variables' next values)."""
-    return _advance(conjuncts, {g: _value(e, env_pre) for g, e in step.items()}, post, stats)
-
-
 def _advance(
     conjuncts: list[Expr], nxt: dict[str, int | None], post: Store, stats: SolveStats
 ) -> tuple[bool, dict[str, int] | None]:
-    """`_iterate` given the step's values, None where it fails to evaluate."""
+    """Requirement 2 on one observed iteration to `post`, given the step's
+    values `nxt`, None where one fails to evaluate.  A step error truncates
+    the run when, at the post-store with the other variables' next values,
+    the conjuncts leave the next value of every failing variable
+    undetermined, or cannot tell; otherwise it refutes the step.  (False,
+    _) when the step is refuted there, by an error or by conjuncts failing
+    at the post-store; (True, None) when it truncates the run; otherwise
+    (True, the variables' next values)."""
     gvals = {g: v for g, v in nxt.items() if v is not None}
     failed = [g for g in nxt if g not in gvals]
     env_post = {**post, **gvals}
     if failed:
-        if not _excused(failed, env_post, conjuncts):
+        if any(_admitted(conjuncts, g, env_post) not in (_ANY, None) for g in failed):
             stats.eval_rejections += 1
             return False, None
         stats.step_truncations += 1
@@ -570,7 +560,7 @@ def _step_counterexample(
         # the post-store of the iteration before, where the conjuncts held.
         for pre, post in run.transitions:
             env_pre = {**pre, **gvals}
-            ok, nxt = _iterate(conjuncts, step, env_pre, post, stats)
+            ok, nxt = _advance(conjuncts, {g: _value(e, env_pre) for g, e in step.items()}, post, stats)
             if not ok:
                 _to_front(starts, i)
                 return env_pre, validated
@@ -582,27 +572,14 @@ def _step_counterexample(
 
 
 def _post_counterexample(
-    putative: Expr,
-    genvars: tuple[str, ...],
-    final: dict[str, Expr],
-    loop: While,
-    post: Expr,
-    cfg: SolverConfig,
-    stats: SolveStats,
+    putative: Expr, final: dict[str, Expr], loop: While, post: Expr, cfg: SolverConfig, stats: SolveStats
 ) -> Store | None:
-    """Requirement 3 over the box of stores of the relevant variables: the
-    first store where the invariant instantiated with `final` and the exit
-    condition hold but `post` does not, or None.  Every store a plain scan
-    would visit up to that one counts as tested."""
-    inv = substitute(putative, dict(final))
-    names = sorted(
-        (free_vars(putative) - set(genvars))
-        | free_vars(loop.cond)
-        | free_vars(post)
-        | set().union(*(free_vars(e) for e in final.values()))
-    )
-    holding = top_conjuncts(inv) + [Op("¬", (loop.cond,))]
-    store, position = first_store(names, holding, [post], cfg.domain_bound)
+    """Requirement 3 over the box of stores of the variables it mentions:
+    the first store where the invariant instantiated with `final` and the
+    exit condition hold but `post` does not, or None.  Every store a plain
+    scan would visit up to that one counts as tested."""
+    holding = top_conjuncts(substitute(putative, final)) + [Op("¬", (loop.cond,))]
+    store, position = first_store(holding, [post], cfg.domain_bound)
     stats.stores_tested += position
     return store
 
@@ -933,8 +910,7 @@ class _Search:
         finals = (dict(zip(self.genvars, t)) for t in self._survivors([pool] * len(self.genvars)))
 
         def implies_post(final: dict[str, Expr]) -> bool:
-            args = (self.putative, self.genvars, final, self.loop, post, self.cfg, self.stats)
-            return _post_counterexample(*args) is None
+            return _post_counterexample(self.putative, final, self.loop, post, self.cfg, self.stats) is None
 
         try:
             final = next(filter(implies_post, finals), None)
@@ -1026,7 +1002,7 @@ def solve(
     step = {g: step[g] for g in genvars}
 
     assignment = Assignment(initial, step, final)
-    verdict = check_requirements(triple, loop, invariant, genvars, assignment, post, cfg, runs=runs)
+    verdict = check_requirements(triple, loop, invariant, assignment, post, cfg, runs=runs)
     return InvariantReport(invariant, genvars, assignment, verdict, stats)
 
 
@@ -1034,7 +1010,6 @@ def check_requirements(
     triple: Triple,
     loop: While,
     putative: Expr,
-    genvars: tuple[str, ...],
     assignment: Assignment,
     post: Expr,
     cfg: SolverConfig | None = None,
@@ -1055,7 +1030,7 @@ def check_requirements(
 
     # Requirement 1: the initials make the invariant hold whenever the loop
     # is entered.  Requirement 2: the step walks every observed iteration;
-    # a step error truncates a run only where _excused says so.
+    # a step error truncates a run only where _advance says so.
     # Fresh lists, in the order the runs were collected (smallest input
     # first), so each check reports its first counterexample in that order.
     conjuncts = top_conjuncts(putative)
@@ -1070,9 +1045,7 @@ def check_requirements(
     # Requirement 3: final instantiation plus exit condition implies the
     # post.  Nothing ties a final to the value the step walks its variable
     # to, so the post must also hold where the observed runs exit.
-    counterexample = _post_counterexample(
-        putative, genvars, assignment.final, loop, post, cfg, stats
-    )
+    counterexample = _post_counterexample(putative, assignment.final, loop, post, cfg, stats)
     if counterexample is not None:
         return as_failure(3, counterexample)
     for run in runs:
@@ -1084,10 +1057,10 @@ def check_requirements(
 
 def diagnose_lost_variables(putative: Expr, body: Stmt) -> tuple[str, ...]:
     """Body-assigned variables missing from the invariant, in first-
-    assignment order; block locals are left out, since no invariant can
-    mention them.  A non-empty result usually means generalisation
-    swallowed the variable's update (it only ever appeared as part of a
-    larger subterm), so no witness search can succeed."""
-    missing = assigned_vars(body) - free_vars(putative)
-    assigned = (st.var for st in substatements(body) if isinstance(st, Assign))
-    return tuple(v for v in dict.fromkeys(assigned) if v in missing)
+    assignment order; block locals, and the assignments to a local that
+    shadows a variable, are left out, since no invariant can mention
+    them.  A non-empty result usually means generalisation swallowed the
+    variable's update (it only ever appeared as part of a larger
+    subterm), so no witness search can succeed."""
+    assigned = (s.var for s, hidden in scopes(body) if isinstance(s, Assign) and s.var not in hidden)
+    return tuple(v for v in dict.fromkeys(assigned) if v not in free_vars(putative))

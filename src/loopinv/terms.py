@@ -8,6 +8,11 @@ substituting for free names can never capture.
 
 Numerals are ``Num`` nodes; the embedding orders them by value, as it
 would order unary successor chains.
+
+Besides the nodes, this module holds what every other module shares
+about them: building and splitting conjunctions (``conjoin`` and
+``top_conjuncts``), the structural traversals, sorts, and the variable
+analyses of statements, which fold over one scoped walk.
 """
 
 from __future__ import annotations
@@ -94,6 +99,19 @@ def conjoin(conjuncts: list[Expr]) -> Expr:
     for c in reversed(conjuncts[:-1]):
         out = Op("∧", (c, out))
     return out
+
+
+def top_conjuncts(p: Expr) -> list[Expr]:
+    """Flatten the top-level ∧-structure into a list: the inverse of `conjoin`.
+
+    Implications are atomic (never split); any non-conjunction, True
+    included, yields a singleton list.
+    """
+    match p:
+        case Op("∧", (a, b)):
+            return top_conjuncts(a) + top_conjuncts(b)
+        case _:
+            return [p]
 
 
 # ---------------------------------------------------------------------------

@@ -153,16 +153,3 @@ def _summary_substitution(post: Expr | None, body: Stmt, q: Expr) -> dict[str, E
             if free_vars(q) & assigned <= {v} and not (free_vars(rhs) & assigned):
                 return {v: rhs}
     return None
-
-
-def top_conjuncts(p: Expr) -> list[Expr]:
-    """Flatten the top-level ∧-structure into a list.
-
-    Implications are atomic (never split); any non-conjunction, True
-    included, yields a singleton list.
-    """
-    match p:
-        case Op("∧", (a, b)):
-            return top_conjuncts(a) + top_conjuncts(b)
-        case _:
-            return [p]

@@ -416,6 +416,6 @@ def test_criterion_10_annotated_loop_conditions_hold(programs):
     assert conditions_hold
 
     empty = Assignment(initial={}, step={}, final={})
-    verdict = check_requirements(triple, loop, loop.invariant, (), empty, triple.post)
+    verdict = check_requirements(triple, loop, loop.invariant, empty, triple.post)
     assert isinstance(verdict, VerifiedUpToBound) == conditions_hold
     assert verdict == VerifiedUpToBound(bound=6)

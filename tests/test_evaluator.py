@@ -499,10 +499,15 @@ def boxes(draw):
 @example((["x", "y"], [e("x < y")], [e("x + 1 = y")], 5))  # nothing is pinned
 @example((["x", "y"], [e("y = 7")], [], 5))  # pinned beyond the bound
 def test_first_store_is_the_plain_scans(box):
-    names = box[0]
-    store, position = first_store(*box)
-    assert (store, position) == scanned(*box)
+    _, holding, failing, bound = box
+    names = sorted(set().union(*(free_vars(f) for f in holding + failing)))
+    store, position = first_store(holding, failing, bound)
+    assert (store, position) == scanned(names, holding, failing, bound)
     assert store is None or list(store) == names
+
+
+def test_first_store_without_formulas_takes_the_empty_store():
+    assert first_store([], [], 3) == ({}, 1)
 
 
 def test_a_solved_variable_takes_one_value_per_store_of_the_others(monkeypatch):
@@ -511,7 +516,7 @@ def test_a_solved_variable_takes_one_value_per_store_of_the_others(monkeypatch):
     # after testing 15 stores of the 125.
     tested = []
     monkeypatch.setattr(evaluator, "holds", lambda c, s: tested.append(s) or holds(c, s))
-    assert first_store(["k", "x", "y"], [e("y = x + k")], [e("y >= k")], 4) == (None, 125)
+    assert first_store([e("y = x + k")], [e("y >= k")], 4) == (None, 125)
     assert len({tuple(s.values()) for s in tested}) == 15
 
 

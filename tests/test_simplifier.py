@@ -223,6 +223,10 @@ def test_refuted_counts_error_stores():
     assert refuted([e("x = 0"), e("1 / x = 0")], bound=2) is True
 
 
+def test_refuted_without_conjuncts_is_satisfied_by_the_empty_store():
+    assert refuted([], bound=3) is False
+
+
 # --- contextual facts ---------------------------------------------------------
 
 

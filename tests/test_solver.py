@@ -21,8 +21,8 @@ from loopinv.solver import (
     VerifiedUpToBound,
     _ANY,
     _NONE,
+    LoopRun,
     _coarsen,
-    _iterate,
     _Pool,
     _entry_counterexample,
     _starts,
@@ -34,8 +34,7 @@ from loopinv.solver import (
     solve,
 )
 from loopinv import evaluator, solver
-from loopinv.terms import Case, Num, Op, Var, While, free_vars, view
-from loopinv.wlp import top_conjuncts
+from loopinv.terms import Case, Num, Op, Var, While, free_vars, top_conjuncts, view
 
 
 def e(text):
@@ -413,6 +412,16 @@ def test_diagnose_reports_first_assignment_order():
     assert diagnose_lost_variables(e("x + g3 = n"), loop.body) == ("y",)
 
 
+def test_diagnose_orders_by_assignments_outside_shadowing_blocks():
+    # The block's x := 1 assigns its local, not the loop's x, which is
+    # first assigned after y.
+    loop = parse_program(
+        "{n >= 0} WHILE n > 0 DO BEGIN BEGIN VAR x; x := 1 END; y := 2; x := 3; n := n - 1 END {n = 0}"
+    ).program
+    assert isinstance(loop, While)
+    assert diagnose_lost_variables(e("n = n"), loop.body) == ("y", "x")
+
+
 def test_error_truncating_witness_verifies_degenerately(programs):
     """A step whose evaluation errors truncates the run only where the
     invariant leaves the next value undetermined.  Pin that down: the
@@ -566,21 +575,24 @@ def test_iterate_with_one_of_two_step_variables_failing(monkeypatch):
     # value.  The step is evaluated once per variable, errors included.
     conjuncts = [e("x = a"), e("y * b = k * a")]
     step = {"a": e("a + 1"), "b": e("b / z")}
-    env_pre = {"x": 0, "y": 0, "k": 0, "z": 0, "a": 0, "b": 1}
+    pre, gvals = {"x": 0, "y": 0, "k": 0, "z": 0}, {"a": 0, "b": 1}
     evaluated = []
     monkeypatch.setattr(solver, "eval_expr", lambda t, s: evaluated.append(t) or eval_expr(t, s))
 
+    def one_transition(post):
+        return [(LoopRun((pre, post)), gvals)]
+
     # y = 0 and k*a = 0 leave b's next value free: the run is truncated.
     stats = SolveStats()
-    post = {"x": 1, "y": 0, "k": 0, "z": 0}
-    assert _iterate(conjuncts, step, env_pre, post, stats) == (True, None)
+    starts = one_transition({"x": 1, "y": 0, "k": 0, "z": 0})
+    assert _step_counterexample(conjuncts, step, starts, stats) == (None, 0)
     assert stats == SolveStats(step_truncations=1)
     assert [t for t in evaluated if t in step.values()] == list(step.values())
 
     # y = 1 and k*a = 2*1 pin b to 2: the error rejects the step.
     stats = SolveStats()
-    post = {"x": 1, "y": 1, "k": 2, "z": 0}
-    assert _iterate(conjuncts, step, env_pre, post, stats) == (False, None)
+    starts = one_transition({"x": 1, "y": 1, "k": 2, "z": 0})
+    assert _step_counterexample(conjuncts, step, starts, stats) == ({**pre, **gvals}, 0)
     assert stats == SolveStats(eval_rejections=1)
 
 
@@ -640,7 +652,7 @@ def test_check_requirements_rejects_step_erroring_where_determined(programs):
         step={g_pos: e(f"{g_pos} / 2"), g_pow: e("0 / (1 - k)")},
         final={g_pos: Num(0), g_pow: Num(1)},
     )
-    verdict = check_requirements(annotated, d.node, coarse, d.genvars, degenerate, d.post)
+    verdict = check_requirements(annotated, d.node, coarse, degenerate, d.post)
     assert isinstance(verdict, Failed)
     assert verdict.requirement == 2
 
@@ -655,7 +667,7 @@ def test_check_requirements_accepts_honest_conditional_step(programs):
     )
     stats = SolveStats()
     verdict = check_requirements(
-        annotated, d.node, coarse, d.genvars, honest, d.post, stats=stats
+        annotated, d.node, coarse, honest, d.post, stats=stats
     )
     assert verdict == VerifiedUpToBound(6)
     assert stats.step_truncations > 0  # the k = 0 runs, where y = 0
@@ -1063,7 +1075,7 @@ def test_check_requirements_agrees_with_solver():
     annotated, d = discovered(EXP_SIMPLE)
     report = solve(annotated, d.node, d.putative, d.genvars, d.post)
     verdict = check_requirements(
-        annotated, d.node, d.putative, d.genvars, report.assignment, d.post
+        annotated, d.node, d.putative, report.assignment, d.post
     )
     assert verdict == VerifiedUpToBound(bound=6)
 
@@ -1076,7 +1088,7 @@ def test_check_requirements_rejects_wrong_step():
         step={g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} * k")},
         final={g_count: Num(0), g_power: Num(1)},
     )
-    verdict = check_requirements(annotated, d.node, d.putative, d.genvars, wrong, d.post)
+    verdict = check_requirements(annotated, d.node, d.putative, wrong, d.post)
     assert isinstance(verdict, Failed)
     assert verdict.requirement == 2
 
@@ -1089,7 +1101,7 @@ def test_check_requirements_rejects_wrong_initial():
         step={g_count: e(f"{g_count} - 1"), g_power: e(f"{g_power} / k")},
         final={g_count: Num(0), g_power: Num(1)},
     )
-    verdict = check_requirements(annotated, d.node, d.putative, d.genvars, wrong, d.post)
+    verdict = check_requirements(annotated, d.node, d.putative, wrong, d.post)
     assert isinstance(verdict, Failed)
     assert verdict.requirement == 1
     assert verdict.store()["x"] == 0  # a genuine loop-entry store
@@ -1114,7 +1126,7 @@ def test_check_requirements_rejects_insufficient_final():
     assignment = Assignment(
         initial={"g": Var("n")}, step={"g": e("g - 1")}, final={"g": Num(0)}
     )
-    verdict = check_requirements(t, loop, putative, ("g",), assignment, t.post)
+    verdict = check_requirements(t, loop, putative, assignment, t.post)
     assert isinstance(verdict, Failed)
     assert verdict.requirement == 3
 
@@ -1133,7 +1145,7 @@ END
     t = parse_program(src)
     loop = t.program.second.second
     empty = Assignment(initial={}, step={}, final={})
-    verdict = check_requirements(t, loop, loop.invariant, (), empty, t.post)
+    verdict = check_requirements(t, loop, loop.invariant, empty, t.post)
     assert verdict == VerifiedUpToBound(bound=6)
 
 
@@ -1142,6 +1154,6 @@ def test_check_requirements_catches_wrong_plain_invariant():
     t = parse_program(src)
     loop = t.program.second
     empty = Assignment(initial={}, step={}, final={})
-    verdict = check_requirements(t, loop, e("x = 0"), (), empty, t.post)
+    verdict = check_requirements(t, loop, e("x = 0"), empty, t.post)
     assert isinstance(verdict, Failed)
     assert verdict.requirement == 2

@@ -7,12 +7,11 @@ from hypothesis import strategies as hst
 
 from loopinv.evaluator import Finished, exec_stmt, holds, stores
 from loopinv.parser import parse_expression, parse_program, pretty
-from loopinv.terms import Op, Skip, While, free_vars, substatements
+from loopinv.terms import Op, Skip, While, free_vars, substatements, top_conjuncts
 from loopinv.wlp import (
     LocalsInPostcondition,
     UnannotatedLoop,
     first_loops,
-    top_conjuncts,
     wlp,
 )
 
