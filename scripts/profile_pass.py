@@ -12,9 +12,10 @@ on stdin, ``--format json``).  It first runs the pass once counting the
 ``Op`` nodes built, the ``Op`` nodes compiled into closures, the full
 checks of step candidates (calls of ``_Search._preserves``) and the
 bounded box checks (calls of ``evaluator.first_store`` by ``verify``,
-requirement 3 and R5, the stores at which they evaluated a formula, and
-the stores a plain scan up to the same store would have visited, the sum
-of the positions they return), then runs it
+requirement 3 and R5, the formulas they tested and the variables they
+solved for, as calls of ``evaluator.holds`` and ``evaluator._admitted``
+inside them, and the stores a plain scan up to the same store would have
+visited, the sum of the positions they return), then runs it
 again under cProfile and prints the 25 functions that rank highest by
 ``--sort`` (any ``pstats`` key; default ``tottime``).  The counting pass
 runs without the profiler and the profiled pass without the counters, so
@@ -51,13 +52,13 @@ def run_pass(programs: list[workloads.Program]) -> None:
 
 def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
     """The Op nodes built and compiled, the full checks of step
-    candidates, and the box checks with the stores they evaluated and the
-    stores a plain scan would have visited, during one pass."""
-    built = compiled = checked = boxes = evaluated = scanned = 0
+    candidates, and the box checks with the formulas they tested, the
+    variables they solved for and the stores a plain scan would have
+    visited, during one pass."""
+    built = compiled = checked = boxes = tested = solved = scanned = 0
     post_init, compile_, preserves = Op.__post_init__, evaluator._compiled, solver._Search._preserves
-    first_store, holds = evaluator.first_store, evaluator.holds
+    first_store, holds, admitted = evaluator.first_store, evaluator.holds, evaluator._admitted
     callers = (cli, simplifier, solver)  # each calls first_store by its own name
-    last = None  # the store of the last formula evaluated inside first_store
 
     def counting_post_init(node: Op) -> None:
         nonlocal built
@@ -75,21 +76,25 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
         return preserves(*args)
 
     def counting_first_store(*args):
-        nonlocal boxes, scanned, last
+        nonlocal boxes, scanned
         boxes += 1
-        evaluator.holds = counting_holds
+        evaluator.holds, evaluator._admitted = counting_holds, counting_admitted
         try:
             store, position = first_store(*args)
         finally:
-            evaluator.holds, last = holds, None
+            evaluator.holds, evaluator._admitted = holds, admitted
         scanned += position
         return store, position
 
-    def counting_holds(e, store):
-        nonlocal evaluated, last
-        evaluated += store is not last  # a store's formulas are evaluated in a row
-        last = store
-        return holds(e, store)
+    def counting_holds(*args):
+        nonlocal tested
+        tested += 1
+        return holds(*args)
+
+    def counting_admitted(*args):
+        nonlocal solved
+        solved += 1
+        return admitted(*args)
 
     Op.__post_init__, evaluator._compiled = counting_post_init, counting_compile
     solver._Search._preserves = counting_preserves
@@ -102,7 +107,7 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
         solver._Search._preserves = preserves
         for module in callers:
             module.first_store = first_store
-    return built, compiled, checked, boxes, evaluated, scanned
+    return built, compiled, checked, boxes, tested, solved, scanned
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,12 +118,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     programs = workloads.generate(args.workload, args.seed)
-    built, compiled, checked, boxes, evaluated, scanned = count_work(programs)
+    built, compiled, checked, boxes, tested, solved, scanned = count_work(programs)
     print(f"{args.workload} seed {args.seed}: {len(programs)} programs")
     print(f"Op nodes built {built:,}, compiled {compiled:,}; full checks of steps {checked:,}")
     print(
-        f"box checks (first_store) {boxes:,}: {evaluated:,} stores evaluated, "
-        f"{scanned:,} for a plain scan"
+        f"box checks (first_store) {boxes:,}: {tested:,} formulas tested, {solved:,} solves, "
+        f"{scanned:,} stores for a plain scan"
     )
     profile = cProfile.Profile()
     profile.runcall(run_pass, programs)

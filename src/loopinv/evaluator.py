@@ -22,15 +22,17 @@ trajectory collection is implemented.
 
 Every bounded check over a box of stores is one search, ``first_store``,
 and the box is the free variables of the formulas it tests: no caller
-works it out.  Where an equation that must hold pins a variable, that
-variable is solved for (``_solve_for``, inverting ``+`` and ``*``)
-rather than enumerated; the witness search uses the same inversion to
-judge step errors.
+works it out.  It walks the box one variable at a time (``_walk``, which
+also enumerates ``stores``), backtracking with early checks (Bitner &
+Reingold, "Backtrack programming techniques", 1975): a variable that an
+equation pins is solved for (``_solve_for``, inverting ``+`` and ``*``)
+once the equation's other variables are bound rather than enumerated,
+and each formula is tested as soon as its variables are bound.  The
+witness search uses the same inversion to judge step errors.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -231,13 +233,45 @@ def stores(names: list[str], bound: int) -> Iterator[Store]:
     depth-bounded order of SmallCheck).  A bounded check that stops at
     its first failing store thus reports one with the smallest maximum,
     and a search for a satisfying store ends near the origin, where
-    witnesses tend to live.  No names give the one empty store."""
-    if not names:
-        yield {}
+    witnesses tend to live.  No names give the one empty store.  This is
+    `_walk` with every variable enumerated in order and nothing tested."""
+    steps = [(n, None, (), i == len(names) - 1) for i, n in enumerate(names)]
     for m in range(bound + 1):
-        for values in itertools.product(range(m + 1), repeat=len(names)):
-            if m in values:
-                yield dict(zip(names, values))
+        for store in _walk(steps, m, m, {}):
+            yield dict(store)
+
+
+# (variable, the conjuncts it is solved from or None, the (formula, wanted
+# truth) checks that its binding completes, whether it is the last enumerated)
+Step = tuple[str, list[Expr] | None, list[tuple[Expr, bool]], bool]
+
+
+def _walk(steps: list[Step], m: int, top: int, store: Store, d: int = 0, reached: bool = False) -> Iterator[Store]:
+    """The stores that extend `store` by binding the variables of
+    steps[d:] in turn, depth first, each in increasing order, where the
+    enumerated variables have maximum `m`.  An enumerated variable takes
+    every value ≤ m; a solved one the value ≤ top that `_admitted` gives
+    over its conjuncts, none if they admit none, or every value ≤ top if
+    they admit any or cannot tell.  A branch is cut as soon as one of its
+    step's checks is not met.  `store` is reused: the caller copies what
+    it keeps."""
+    if d == len(steps):
+        if reached or m == 0:  # no enumerated values have maximum 0
+            yield store
+        return
+    g, around, checks, closing = steps[d]
+    if around is None:
+        tries = (m,) if closing and not reached else range(m + 1)
+    else:
+        v = _admitted(around, g, store)
+        tries = range(top + 1) if v is None or v == _ANY else (v,) if 0 <= v <= top else ()
+    for v in tries:
+        store[g] = v
+        for f, want in checks:
+            if holds(f, store) is not want:
+                break
+        else:
+            yield from _walk(steps, m, top, store, d + 1, reached or (around is None and v == m))
 
 
 _ANY, _NONE = -1, -2  # besides one natural, what an equation admits for a variable
@@ -345,46 +379,58 @@ def first_store(holding: list[Expr], failing: list[Expr], bound: int) -> tuple[S
     none of `failing` does, and its 1-based position in that order; (None,
     the number of stores) when no store qualifies.
 
-    A variable that an equation of `holding` solves for exactly is
-    pinned: the other variables are enumerated, and the pinned one takes
-    the one value that `_admitted` gives there, or none, or every value
-    when it cannot tell.  Each store skipped has a holding formula false
-    or failing to evaluate, so it does not qualify.  The qualifying store
-    with the smallest (maximum, values) is kept, which is the store the
-    plain scan stops at; its position is counted, not scanned for."""
-
-    def qualifies(store: Store) -> bool:
-        return all(holds(c, store) for c in holding) and not any(holds(f, store) for f in failing)
-
-    names = sorted(frozenset().union(*map(free_vars, holding + failing)))
-    pin = next((g for g in names if any(_pins(c, g) for c in holding)), None)
-    if pin is None:
-        for position, store in enumerate(stores(names, bound), 1):
-            if qualifies(store):
-                return store, position
-        return None, (bound + 1) ** len(names)
-    around = [c for c in holding if _plan(c, pin)[0]]
+    The box is walked (`_walk`) in an elimination order.  A pinned
+    variable is solved for as soon as the other variables of an equation
+    that pins it are bound.  When none can be, a variable is enumerated:
+    one that no equation of `holding` pins if any is left, the one whose
+    binding completes the most formulas (fail first), then the first by
+    name.  Each formula is tested at the first step where all its
+    variables are bound, so a branch where a holding formula is false or
+    fails to evaluate, or a failing formula holds, is cut there; no store
+    cut or skipped qualifies.  The enumerated variables go through the
+    `stores` order, so each of their stores is walked once, smallest
+    maximum first, until that maximum passes the qualifying store with
+    the smallest (maximum, values), which is kept: the store the plain
+    scan stops at.  Its position is counted, not scanned for."""
+    steps, closed = _elimination(holding, failing)
+    names = sorted(step[0] for step in steps)
     best: tuple[int, tuple[int, ...]] | None = None  # (maximum, values in names order)
-    for env in stores([n for n in names if n != pin], bound):
-        top = max(env.values(), default=0)
-        if best is not None and top > best[0]:
-            break  # every store from here on has a larger maximum
-        admitted = _admitted(around, pin, env)
-        if admitted in (None, _ANY):
-            tries = range(bound + 1)
-        else:  # _NONE, or one natural that may lie beyond the bound
-            tries = [admitted] if 0 <= admitted <= bound else []
-        for v in tries:
-            values = tuple(v if n == pin else env[n] for n in names)
-            key = (max(top, v), values)
-            if best is not None and key >= best:
-                break  # a larger value of the pinned variable gives a larger key
-            if qualifies(dict(zip(names, values))):
-                best = key
-                break
+    if all(holds(f, {}) is want for f, want in closed):
+        for m in range(bound + 1):
+            if best is not None and m > best[0]:
+                break  # every store from here on has a larger maximum
+            for store in _walk(steps, m, bound if best is None else best[0], {}):
+                values = tuple(store[n] for n in names)
+                key = (max(values, default=0), values)
+                if best is None or key < best:
+                    best = key
     if best is None:
         return None, (bound + 1) ** len(names)
     return dict(zip(names, best[1])), _position(*best)
+
+
+def _elimination(holding: list[Expr], failing: list[Expr]) -> tuple[list[Step], list]:
+    """`first_store`'s steps over the free variables of the formulas, and
+    the checks of the formulas without variables."""
+    free = [free_vars(f) for f in holding + failing]
+    names = sorted(frozenset().union(*free))
+    checks = list(zip([(f, True) for f in holding] + [(f, False) for f in failing], free))
+    equations = list(zip(holding, free))  # each with its variables
+    pinned = [g for g in names if any(_pins(c, g) for c in holding)]
+    done: set[str] = set()
+    steps = []
+
+    def rank(g: str) -> tuple[bool, int]:  # unpinned first, then the most formulas completed
+        return g not in pinned, sum(g in vs and vs - {g} <= done for _, vs in checks)
+
+    while len(done) < len(names):
+        g = next((g for g in pinned if g not in done and any(_pins(c, g) and vs - {g} <= done for c, vs in equations)), None)
+        around = None if g is None else [c for c, vs in equations if _plan(c, g)[1] and vs - {g} <= done]
+        g = g or max((g for g in names if g not in done), key=rank)
+        done.add(g)
+        steps.append((g, around, [check for check, vs in checks if g in vs and vs <= done]))
+    last = max((d for d, step in enumerate(steps) if step[1] is None), default=None)
+    return [(*step, d == last) for d, step in enumerate(steps)], [check for check, vs in checks if not vs]
 
 
 def _pins(c: Expr, g: str) -> bool:
@@ -396,10 +442,11 @@ def _pins(c: Expr, g: str) -> bool:
 def _position(top: int, values: tuple[int, ...]) -> int:
     """The 1-based position in `stores` order of the store with these
     values, `top` their maximum: after the top**n stores of smaller
-    maximum and the stores of maximum `top` that first differ at some i
-    by a smaller value, with any rest after a prefix that holds `top`,
-    and a rest that holds it otherwise."""
-    n, position, seen = len(values), top ** len(values) + 1, False
+    maximum (none for the empty store) and the stores of maximum `top`
+    that first differ at some i by a smaller value, with any rest after a
+    prefix that holds `top`, and a rest that holds it otherwise."""
+    n, seen = len(values), False
+    position = top**n + 1 if values else 1
     for i, v in enumerate(values):
         rest = n - i - 1
         position += v * ((top + 1) ** rest - (0 if seen else top**rest))

@@ -7,6 +7,8 @@ checked against the tree-walking interpreter it replaced, kept below as
 the oracle.
 """
 
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -466,38 +468,61 @@ def scanned(names, holding, failing, bound):
     return None, (bound + 1) ** len(names)
 
 
-@st.composite
-def boxes(draw):
-    """Names, formulas over them that must hold and that must not, and a
-    bound.  A holding formula may be an equation with one variable alone,
-    or under + and *, on one side, which pins it when it occurs there
-    once and nowhere else."""
-    names = draw(st.lists(st.sampled_from("wxyz"), min_size=1, max_size=4, unique=True))
-    pinned = draw(st.sampled_from(names))
+@functools.cache
+def terms(names: tuple[str, ...]) -> st.SearchStrategy:
+    """Naturals over numerals and `names`; kept, since hypothesis checks
+    each new strategy before its first draw."""
+    leaves = st.sampled_from([Num(0), Num(1), Num(2), Num(3), *map(Var, names)])
+    return st.recursive(leaves, lambda kids: binary(NAT_OPS, kids, kids), max_leaves=4)
 
-    def terms(names):
-        leaves = st.sampled_from([Num(0), Num(1), Num(2), Num(3), *map(Var, names)])
-        return st.recursive(leaves, lambda kids: binary(NAT_OPS, kids, kids), max_leaves=4)
 
-    relations = binary(REL_OPS, terms(names), terms(names))
-    others = terms([n for n in names if n != pinned])
+@functools.cache
+def equations(names: tuple[str, ...], pinned: str) -> st.SearchStrategy:
+    """Equations over `names` with `pinned` alone, or under + and *, on
+    one side, and the other names on the other, which pins it when it
+    occurs there once and nowhere else."""
+    others = terms(tuple(n for n in names if n != pinned))
     chains = st.recursive(
         st.just(Var(pinned)),
         lambda kids: binary(("+", "*"), kids, others) | binary(("+", "*"), others, kids),
         max_leaves=3,
     )
-    equations = st.builds(lambda a, b: Op("=", (a, b)), chains, others | terms(names))
-    holding = draw(st.lists(equations, max_size=2)) + draw(st.lists(relations, max_size=1))
-    failing = draw(st.lists(relations | binary(BOOL_BINOPS, relations, relations), max_size=1))
-    return names, holding, failing, draw(st.integers(0, 5))
+    return st.builds(lambda a, b: Op("=", (a, b)), chains, others | terms(names))
 
 
+@st.composite
+def boxes(draw):
+    """Names, formulas over them that must hold and that must not, and a
+    bound.  Up to three names get one of their `equations` each, so one
+    pinned name's equation may mention another, and each relation ranges
+    over a subset of the names, so that a walk can test it before every
+    name is bound."""
+    names = tuple(draw(st.lists(st.sampled_from("vwxyz"), min_size=1, max_size=5, unique=True)))
+
+    def relations():
+        sub = tuple(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
+        return draw(binary(REL_OPS, terms(sub), terms(sub)))
+
+    pinned = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    holding = [draw(equations(names, g)) for g in pinned]
+    holding += [relations() for _ in range(draw(st.integers(0, 2)))]
+    failing = [relations() for _ in range(draw(st.integers(0, 1)))]
+    if failing and draw(st.booleans()):
+        failing = [Op(draw(st.sampled_from(BOOL_BINOPS)), (failing[0], relations()))]
+    return list(names), holding, failing, draw(st.integers(0, min(5, 8 - len(names))))
+
+
+@settings(max_examples=150)
 @given(boxes())
 @example((["x", "y"], [e("y = x * 2")], [e("y < 3")], 5))  # y is pinned
 @example((["k", "x", "y"], [e("y = x * k"), e("x > 0")], [e("y >= k")], 4))  # k is pinned
 @example((["x", "y"], [e("x = x + y")], [], 3))  # x occurs twice: y is pinned to 0
 @example((["x", "y"], [e("x < y")], [e("x + 1 = y")], 5))  # nothing is pinned
 @example((["x", "y"], [e("y = 7")], [], 5))  # pinned beyond the bound
+@example((["k", "x", "y", "z"], [e("y = x + k"), e("z = y * 2")], [e("z <= 4")], 5))  # a chain
+@example((["k", "y", "z"], [e("y * z = k"), e("z > 1")], [e("k < 4")], 5))  # pinned by a later name
+@example((["x", "y", "z"], [e("x = z"), e("y + z >= 1")], [], 3))  # walked out of name order
+@example((["a", "b", "c"], [e("a = 3 - b * 3"), e("c = b % 2 * 3"), e("b < 2")], [], 3))  # a later store wins
 def test_first_store_is_the_plain_scans(box):
     _, holding, failing, bound = box
     names = sorted(set().union(*(free_vars(f) for f in holding + failing)))
@@ -511,13 +536,26 @@ def test_first_store_without_formulas_takes_the_empty_store():
 
 
 def test_a_solved_variable_takes_one_value_per_store_of_the_others(monkeypatch):
-    # y = x + k pins k to y - x where y >= x: of the 5 * 5 stores of x and
-    # y, 15 get one value of k, and the others none, so no store qualifies
-    # after testing 15 stores of the 125.
+    # y = x + k pins y to x + k once k and x are bound, and the failing
+    # formula mentions all three, so nothing is tested before: of the 5 * 5
+    # stores of k and x, 15 give y a value ≤ 4, and the others none, so no
+    # store qualifies after testing 15 stores of the 125.
     tested = []
-    monkeypatch.setattr(evaluator, "holds", lambda c, s: tested.append(s) or holds(c, s))
-    assert first_store([e("y = x + k")], [e("y >= k")], 4) == (None, 125)
+    monkeypatch.setattr(evaluator, "holds", lambda c, s: tested.append(dict(s)) or holds(c, s))
+    assert first_store([e("y = x + k")], [e("x + k <= y")], 4) == (None, 125)
     assert len({tuple(s.values()) for s in tested}) == 15
+    assert all(len(s) == 3 for s in tested)
+
+
+def test_a_formula_is_tested_once_its_variables_are_bound(monkeypatch):
+    # An R5 refutation from a square-multiply trace: no x satisfies the
+    # three relations over x alone, so x is bound first and every branch
+    # is cut there, before k, n or y takes a value.
+    tested = []
+    monkeypatch.setattr(evaluator, "holds", lambda c, s: tested.append(dict(s)) or holds(c, s))
+    conjuncts = [e("x > 0"), e("~(x % 2 = 1)"), e("x / 2 <= 0"), e("y = k ^ n")]
+    assert first_store(conjuncts, [], 8) == (None, 9**4)
+    assert {tuple(s) for s in tested} == {("x",)}
 
 
 @settings(max_examples=200)
