@@ -9,16 +9,17 @@ Generates the programs of one pass of WORKLOAD (``search-shallow``,
 ``search-deep`` or ``check-only``) with ``perfbench/workloads.generate``
 and runs each through ``loopinv.cli.main`` as the benchmark does (source
 on stdin, ``--format json``).  It first runs the pass once counting the
-``Op`` nodes built, the ``Op`` nodes compiled into closures, the full
-checks of step candidates (calls of ``_Search._preserves``) and the
-bounded box checks (calls of ``evaluator.first_store`` by ``verify``,
-requirement 3 and R5, the formulas they tested and the variables they
-solved for, as calls of ``evaluator.holds`` and ``evaluator._admitted``
-inside them, and the stores a plain scan up to the same store would have
-visited, the sum of the positions they return), then runs it
-again under cProfile and prints the 25 functions that rank highest by
-``--sort`` (any ``pstats`` key; default ``tottime``).  The counting pass
-runs without the profiler and the profiled pass without the counters, so
+``Op`` nodes built, the ``Op`` nodes compiled into closures, the
+statements run (calls of ``exec_stmt`` by the solver), the template
+pools built (constructions of ``solver._Pool``), the full checks of step
+candidates (calls of ``_Search._preserves``) and the bounded box checks
+(calls of ``evaluator.first_store`` by ``verify``, requirement 3 and R5,
+the formulas they tested and the variables they solved for, as calls of
+``evaluator.holds`` and ``evaluator._admitted`` inside them, and the
+stores a plain scan up to the same store would have visited, the sum of
+the positions they return), then runs it again under cProfile and
+prints the 25 functions that rank highest by ``--sort`` (any ``pstats``
+key; default ``tottime``).  The counting pass runs without the profiler and the profiled pass without the counters, so
 neither distorts the other.  Nothing under ``perfbench/`` is changed.
 """
 
@@ -51,12 +52,13 @@ def run_pass(programs: list[workloads.Program]) -> None:
 
 
 def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
-    """The Op nodes built and compiled, the full checks of step
-    candidates, and the box checks with the formulas they tested, the
-    variables they solved for and the stores a plain scan would have
-    visited, during one pass."""
-    built = compiled = checked = boxes = tested = solved = scanned = 0
+    """The Op nodes built and compiled, the statements run, the template
+    pools built, the full checks of step candidates, and the box checks
+    with the formulas they tested, the variables they solved for and the
+    stores a plain scan would have visited, during one pass."""
+    built = compiled = executed = pools = checked = boxes = tested = solved = scanned = 0
     post_init, compile_, preserves = Op.__post_init__, evaluator._compiled, solver._Search._preserves
+    exec_stmt, pool_init = solver.exec_stmt, solver._Pool.__init__
     first_store, holds, admitted = evaluator.first_store, evaluator.holds, evaluator._admitted
     callers = (cli, simplifier, solver)  # each calls first_store by its own name
 
@@ -69,6 +71,16 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
         nonlocal compiled
         compiled += type(e) is Op and "_closure" not in vars(e)
         return compile_(e)
+
+    def counting_exec_stmt(*args, **kwargs):
+        nonlocal executed
+        executed += 1
+        return exec_stmt(*args, **kwargs)
+
+    def counting_pool_init(*args):
+        nonlocal pools
+        pools += 1
+        pool_init(*args)
 
     def counting_preserves(*args):
         nonlocal checked
@@ -98,6 +110,7 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
 
     Op.__post_init__, evaluator._compiled = counting_post_init, counting_compile
     solver._Search._preserves = counting_preserves
+    solver.exec_stmt, solver._Pool.__init__ = counting_exec_stmt, counting_pool_init
     for module in callers:
         module.first_store = counting_first_store
     try:
@@ -105,9 +118,10 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
     finally:
         Op.__post_init__, evaluator._compiled = post_init, compile_
         solver._Search._preserves = preserves
+        solver.exec_stmt, solver._Pool.__init__ = exec_stmt, pool_init
         for module in callers:
             module.first_store = first_store
-    return built, compiled, checked, boxes, tested, solved, scanned
+    return built, compiled, executed, pools, checked, boxes, tested, solved, scanned
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,9 +132,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     programs = workloads.generate(args.workload, args.seed)
-    built, compiled, checked, boxes, tested, solved, scanned = count_work(programs)
+    built, compiled, executed, pools, checked, boxes, tested, solved, scanned = count_work(programs)
     print(f"{args.workload} seed {args.seed}: {len(programs)} programs")
-    print(f"Op nodes built {built:,}, compiled {compiled:,}; full checks of steps {checked:,}")
+    print(
+        f"Op nodes built {built:,}, compiled {compiled:,}; exec_stmt calls {executed:,}; "
+        f"template pools built {pools:,}; full checks of steps {checked:,}"
+    )
     print(
         f"box checks (first_store) {boxes:,}: {tested:,} formulas tested, {solved:,} solves, "
         f"{scanned:,} stores for a plain scan"

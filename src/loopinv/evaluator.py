@@ -18,7 +18,11 @@ Statement execution is pure: the input store is never mutated.  Fuel
 counts loop-body iterations only (straight-line code is free).  One
 loop node may be watched: each completed visit to it is recorded as the
 store at every test of its guard, from entry to exit, which is how
-trajectory collection is implemented.
+trajectory collection is implemented.  Statements are compiled the same
+way: a statement node's first run builds a closure over its parts'
+closures, kept in its instance dict, that runs it in place on a copy of
+the store with a record of the run (``_Run``: the fuel left, the watched
+loop and its visits).
 
 Every bounded check over a box of stores is one search, ``first_store``,
 and the box is the free variables of the formulas it tests: no caller
@@ -458,52 +462,98 @@ class _OutOfFuel(Exception):
     pass
 
 
+class _Run:
+    """What one execution carries besides the store: the fuel left, the
+    identity of the watched loop (None for none) and its visits."""
+
+    __slots__ = ("fuel", "watch", "visits")
+
+    def __init__(self, fuel: int, watch: While | None):
+        self.fuel, self.watch, self.visits = fuel, None if watch is None else id(watch), []
+
+
 def exec_stmt(st: Stmt, store: Store, fuel: int, watch: While | None = None) -> ExecOutcome:
     """Run a statement on a copy of `store`; fuel bounds loop iterations.
-    Visits to the loop node `watch` of `st`, matched by identity, are recorded."""
+    Visits to the loop node `watch` of `st`, matched by identity, are
+    recorded.  The statement runs as the closure it is compiled to on its
+    first run (`_compiled_stmt`)."""
     s = dict(store)
-    budget = [fuel]
-    visits: list[Visit] = []
+    run = _Run(fuel, watch)
     try:
-        _run(st, s, budget, watch, visits)
+        _compiled_stmt(st)(s, run)
     except _OutOfFuel:
         return FuelExhausted()
     except EvalError as err:
         return ExecError(err.kind)
-    return Finished(s, tuple(visits))
+    except KeyError:  # a variable's closure looked it up in vain
+        return ExecError("UnboundVar")
+    return Finished(s, tuple(run.visits))
 
 
-def _run(st: Stmt, s: Store, budget: list[int], watch: While | None, visits: list[Visit]) -> None:
+Executed = Callable[[Store, _Run], None]
+
+
+def _compiled_stmt(st: Stmt) -> Executed:
+    """The closure that runs `st` on a store, in place: compiled on first
+    use from its parts' closures and kept in the node's instance dict, as
+    `_compiled` keeps an expression's."""
+    run = getattr(st, "_closure", None)
+    if run is not None:
+        return run
     match st:
         case Skip():
-            return
+            def run(s, r):
+                pass
+
         case Assign(var, rhs):
-            s[var] = eval_expr(rhs, s)
+            value = _compiled(rhs)
+
+            def run(s, r):
+                s[var] = value(s)
+
         case Seq(a, b):
-            _run(a, s, budget, watch, visits)
-            _run(b, s, budget, watch, visits)
-        case If(cond, t, e):
-            _run(t if eval_expr(cond, s) else e, s, budget, watch, visits)
+            first, second = _compiled_stmt(a), _compiled_stmt(b)
+
+            def run(s, r):
+                first(s, r)
+                second(s, r)
+
+        case If(cond, a, b):
+            test, then, other = _compiled(cond), _compiled_stmt(a), _compiled_stmt(b)
+
+            def run(s, r):
+                (then if test(s) else other)(s, r)
+
         case Block(locs, body):
-            saved = {v: s[v] for v in locs if v in s}
-            for v in locs:
-                s[v] = 0
-            _run(body, s, budget, watch, visits)
-            for v in locs:
-                if v in saved:
-                    s[v] = saved[v]
-                else:
-                    del s[v]
+            fresh, inner = dict.fromkeys(locs, 0), _compiled_stmt(body)  # `VAR x, x` is one x
+
+            def run(s, r):
+                saved = {v: s[v] for v in fresh if v in s}
+                s.update(fresh)
+                inner(s, r)
+                for v in fresh:
+                    if v in saved:
+                        s[v] = saved[v]
+                    else:
+                        del s[v]
+
         case While(cond, body):
-            states = [dict(s)] if st is watch else None
-            while eval_expr(cond, s):
-                if budget[0] <= 0:
-                    raise _OutOfFuel()
-                budget[0] -= 1
-                _run(body, s, budget, watch, visits)
+            # The node's id: a closure holding the node itself would make a cycle.
+            me, test, inner = id(st), _compiled(cond), _compiled_stmt(body)
+
+            def run(s, r):
+                states = [dict(s)] if r.watch == me else None
+                while test(s):
+                    if r.fuel <= 0:
+                        raise _OutOfFuel()
+                    r.fuel -= 1
+                    inner(s, r)
+                    if states is not None:
+                        states.append(dict(s))
                 if states is not None:
-                    states.append(dict(s))
-            if states is not None:
-                visits.append(tuple(states))
+                    r.visits.append(tuple(states))
+
         case _:
             raise TypeError(f"not a Stmt: {st!r}")
+    object.__setattr__(st, "_closure", run)  # frozen fields, writable instance dict
+    return run

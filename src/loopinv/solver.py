@@ -19,12 +19,14 @@ precondition.  A template is an atom (the literal 0, 1 or 2, a program
 variable, and for a step the variable's previous value) or an operator
 over two templates of operator depth ≤ 1, so its size is 1, 3, 5 or 7;
 ``_Pool`` orders one size, and every stage scans its candidates by
-total size with ``_Search._survivors``.  Only sizes 1 and 3 are held
-as lists, since six operators over nine atoms give about 1.4 million of
-size 7; a larger size is enumerated as rows (an operator, a left template
-and a list of right ones), building a node only when asked.  Everything
-is a bounded check over the naturals, so a positive verdict is "verified
-up to the bound", never a proof.
+total size with ``_Search._survivors``.  Only sizes 1 and 3 are held,
+and a template of size 3 is built when first asked for, since six
+operators over nine atoms give about 1.4 million of size 7; a larger
+size is enumerated as rows (an operator, a left template and a list of
+right ones), building a node only when asked.  A search builds its pools
+once: one for the initials and finals, one per variable for the steps.
+Everything is a bounded check over the naturals, so a positive verdict
+is "verified up to the bound", never a proof.
 
 Errors during testing are treated asymmetrically, matching their
 meaning.  A candidate initial (or final) whose evaluation fails on a
@@ -127,7 +129,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .evaluator import (
@@ -327,18 +329,43 @@ _SIZES = (1, 3, 5, 7)  # the template sizes of operator depth ≤ 2
 Row = tuple[str | None, int, int, int]  # (op, ls, i, rs); see _Pool
 
 
+class _Lazy(Sequence):
+    """A sequence whose k-th item is `make(k)`, made when first asked for
+    and kept."""
+
+    def __init__(self, n: int, make: Callable[[int], Expr]):
+        self.items: list[Expr | None] = [None] * n
+        self.make = make
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, k: int) -> Expr:
+        item = self.items[k]
+        if item is None:
+            item = self.items[k] = self.make(k)
+        return item
+
+
 class _Pool:
     """Templates over `atoms` by size.  One of size n > 1 is `Op(op, (l, r))`
     with l and r of size 1 or 3 summing to n-1, ordered by operator, then
     left size, then left, then right.  A row `(op, ls, i, rs)` is op over
     the left `lists[ls][i]` and each right of `lists[rs]`; size 1 is the row
-    `(None, 1, 0, 1)` of the atoms.  Sizes 1 and 3 are kept as lists; the
-    pool called for a larger size builds its templates lazily."""
+    `(None, 1, 0, 1)` of the atoms.  Sizes 1 and 3 are kept as sequences:
+    a template of size 3 is built when its index is first asked for, and
+    the same node, with the closure it was compiled to, comes back each
+    time.  The pool called for a larger size builds its templates lazily,
+    and afresh on every call."""
 
     def __init__(self, atoms: list[Expr], ops: tuple[str, ...]):
-        self.ops = ops
-        self.lists = {1: list(atoms)}
-        self.lists[3] = list(self(3))
+        self.ops, width = ops, len(atoms)
+
+        def pair(k: int) -> Expr:
+            o, i, j = k // width**2, k // width % width, k % width
+            return Op(ops[o], (atoms[i], atoms[j]))
+
+        self.lists: dict[int, Sequence[Expr]] = {1: list(atoms), 3: _Lazy(len(ops) * width**2, pair)}
 
     def __call__(self, n: int) -> Iterable[Expr]:
         if n in self.lists:
@@ -356,8 +383,12 @@ class _Pool:
 
     def template(self, row: Row, j: int) -> Expr:
         op, ls, i, rs = row
-        r = self.lists[rs][j]
-        return r if op is None else Op(op, (self.lists[ls][i], r))
+        if op is None:
+            return self.lists[rs][j]
+        if ls == rs == 1:  # size 3, kept
+            width = len(self.lists[1])
+            return self.lists[3][(self.ops.index(op) * width + i) * width + j]
+        return Op(op, (self.lists[ls][i], self.lists[rs][j]))
 
 
 class _Kept(_Pool):
@@ -789,7 +820,11 @@ class _Search:
         self.entries = [r.entry for r in runs]
         self.any_transition = any(r.transitions for r in runs)
         names = global_vars(triple).union(*self.entries)  # those in scope at the loop head
-        self.atoms = [Num(v) for v in _LITERALS] + [Var(n) for n in sorted(names)]
+        atoms = [Num(v) for v in _LITERALS] + [Var(n) for n in sorted(names)]
+        # Built once: the initials and finals draw from one pool, each
+        # variable's steps from one over the atoms and its previous value.
+        self.pool = _Pool(atoms, cfg.operator_pool)
+        self.step_pools = {g: _Pool(atoms + [Var(g)], cfg.operator_pool) for g in genvars}
         self.branch_cond = _top_branch(loop.body)
 
     def _spend(self) -> None:
@@ -841,11 +876,10 @@ class _Search:
         return refuting is None and (validated > 0 or not self.any_transition)
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
-        init_pool = _Pool(self.atoms, self.cfg.operator_pool)
-        front = _Front(comp.genvars, self.entries, functools.partial(_entry_level, comp.conjuncts, init_pool))
+        front = _Front(comp.genvars, self.entries, functools.partial(_entry_level, comp.conjuncts, self.pool))
         some_initial_held = False
         try:
-            for heads in self._survivors([init_pool] * len(comp.genvars), front):
+            for heads in self._survivors([self.pool] * len(comp.genvars), front):
                 init = dict(zip(comp.genvars, heads))
                 if _entry_counterexample(comp.conjuncts, init, self.entries, self.stats) is not None:
                     continue
@@ -871,7 +905,7 @@ class _Search:
 
     def _find_step(self, comp: _Component, starts: list[Start]) -> dict[str, Expr] | None:
         conditional = self.branch_cond is not None and len(comp.genvars) == 1
-        pools = [_Pool(self.atoms + [Var(g)], self.cfg.operator_pool) for g in comp.genvars]
+        pools = [self.step_pools[g] for g in comp.genvars]
         front = _Front(comp.genvars, starts, functools.partial(_front_run, comp.conjuncts, pools[-1]))
         # With a branching body, cap unconditional templates so the
         # conditional stage is reachable within the budget.
@@ -906,8 +940,7 @@ class _Search:
             yield (Case(cond, then, other),)
 
     def solve_finals(self, post: Expr) -> dict[str, Expr]:
-        pool = _Pool(self.atoms, self.cfg.operator_pool)
-        finals = (dict(zip(self.genvars, t)) for t in self._survivors([pool] * len(self.genvars)))
+        finals = (dict(zip(self.genvars, t)) for t in self._survivors([self.pool] * len(self.genvars)))
 
         def implies_post(final: dict[str, Expr]) -> bool:
             return _post_counterexample(self.putative, final, self.loop, post, self.cfg, self.stats) is None

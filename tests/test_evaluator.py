@@ -3,10 +3,11 @@ and the record of visits to a watched loop.
 
 The expected stores below were computed by hand from the programs and
 frozen before the evaluator existed.  The compiled evaluator is also
-checked against the tree-walking interpreter it replaced, kept below as
-the oracle.
+checked against the interpreters it replaced, kept below as oracles: the
+tree walker for expressions and the `match` interpreter for statements.
 """
 
+import dataclasses
 import functools
 
 import pytest
@@ -34,10 +35,14 @@ from loopinv.terms import (
     NAT_OPS,
     REL_OPS,
     Assign,
+    Block,
     Case,
     Ctor,
+    If,
     Num,
     Op,
+    Seq,
+    Skip,
     Var,
     While,
     free_vars,
@@ -455,6 +460,154 @@ def test_compiled_evaluation_matches_the_tree_walker(expr, store):
 @given(nat_exprs | formulas, store_draws)
 def test_compiled_evaluation_matches_the_tree_walker_when_well_sorted(expr, store):
     agree(expr, store)
+
+
+# --- the statement interpreter oracle ---------------------------------------
+
+
+class _OutOfFuel(Exception):
+    pass
+
+
+def tree_exec(stmt, store, fuel, watch=None):
+    """The interpreter that the compiled statements replaced, verbatim but
+    for its names."""
+    s = dict(store)
+    budget = [fuel]
+    visits = []
+    try:
+        tree_run(stmt, s, budget, watch, visits)
+    except _OutOfFuel:
+        return FuelExhausted()
+    except EvalError as err:
+        return ExecError(err.kind)
+    return Finished(s, tuple(visits))
+
+
+def tree_run(stmt, s, budget, watch, visits):
+    match stmt:
+        case Skip():
+            return
+        case Assign(var, rhs):
+            s[var] = eval_expr(rhs, s)
+        case Seq(a, b):
+            tree_run(a, s, budget, watch, visits)
+            tree_run(b, s, budget, watch, visits)
+        case If(cond, t, e):
+            tree_run(t if eval_expr(cond, s) else e, s, budget, watch, visits)
+        case Block(locs, body):
+            saved = {v: s[v] for v in locs if v in s}
+            for v in locs:
+                s[v] = 0
+            tree_run(body, s, budget, watch, visits)
+            for v in locs:
+                if v in saved:
+                    s[v] = saved[v]
+                else:
+                    del s[v]
+        case While(cond, body):
+            states = [dict(s)] if stmt is watch else None
+            while eval_expr(cond, s):
+                if budget[0] <= 0:
+                    raise _OutOfFuel()
+                budget[0] -= 1
+                tree_run(body, s, budget, watch, visits)
+                if states is not None:
+                    states.append(dict(s))
+            if states is not None:
+                visits.append(tuple(states))
+        case _:
+            raise TypeError(f"not a Stmt: {stmt!r}")
+
+
+def program(text):
+    return parse_program(f"{{0 = 0}} {text} {{0 = 0}}").program
+
+
+def loops(stmt):
+    return [s for s in substatements(stmt) if isinstance(s, While)]
+
+
+def watching(text, i, store, fuel, distinct=False):
+    """An example: the program of `text` with its i-th loop watched, or an
+    equal loop that is not its node."""
+    stmt = program(text)
+    loop = loops(stmt)[i]
+    return stmt, store, fuel, dataclasses.replace(loop) if distinct else loop
+
+
+# Locals are drawn distinct: the interpreter failed on `VAR x, x`.
+statements = st.recursive(
+    st.just(Skip()) | st.builds(Assign, st.sampled_from(NAMES), nat_exprs),
+    lambda kids: st.builds(Seq, kids, kids)
+    | st.builds(If, formulas, kids, kids)
+    | st.builds(While, formulas, kids)
+    | st.builds(Block, st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True).map(tuple), kids),
+    max_leaves=6,
+)
+
+
+@st.composite
+def runs(draw):
+    """A statement, a store, fuel and a watched loop: one of its loops, an
+    equal copy of one, or none."""
+    stmt = draw(statements)
+    loop = draw(st.none() | st.sampled_from(loops(stmt))) if loops(stmt) else None
+    if loop is not None and draw(st.booleans()):
+        loop = dataclasses.replace(loop)
+    return stmt, draw(store_draws), draw(st.integers(0, 6)), loop
+
+
+NEST = "WHILE i < 2 DO BEGIN j := 0; IF 0 = 0 THEN WHILE j <= i DO j := j + 1; i := i + 1 END"
+BOTH = {"i": 0, "j": 0}
+
+
+@settings(max_examples=200)
+@given(runs())
+@example((program("x := 1; BEGIN VAR x, y; x := 2; y := x END; z := x"), {"x": 0, "z": 0}, 0, None))
+@example(watching("WHILE x < 3 DO x := x + 1", 0, {"x": 0}, 2))  # fuel for 2 of 3, then 3 of 3
+@example(watching("WHILE x < 3 DO x := x + 1", 0, {"x": 0}, 2, distinct=True))
+@example((program("IF x / y = 0 THEN x := 1 ELSE skip"), {"x": 0, "y": 0}, 5, None))  # DivByZero
+@example((program("WHILE x / y = 0 DO skip"), {"x": 0, "y": 0}, 5, None))
+@example((program("x := 2; WHILE 0 = 0 DO x := x ^ x"), {"x": 0}, 6, None))  # Overflow
+@example((program("x := 1; y := w + x"), {"x": 0, "y": 0}, 5, None))  # UnboundVar
+@example(watching(NEST, 1, BOTH, 10))  # under IF and under another loop
+@example(watching(NEST, 1, BOTH, 10, distinct=True))
+@example(watching(NEST, 0, BOTH, 10))
+def test_compiled_statements_match_the_interpreter(run):
+    stmt, store, fuel, watch = run
+    given_store = dict(store)
+    # One node, compiled on its first run, run again with more fuel.
+    for f in (fuel, fuel + 1):
+        got = exec_stmt(stmt, store, f, watch)
+        assert got == tree_exec(stmt, store, f, watch)
+        assert store == given_store
+
+
+def test_compiled_examples_reach_every_outcome():
+    # The examples above are meant to cover these outcomes; a typo in one
+    # would otherwise test less without failing.
+    def kind(text, store, fuel, i=None):
+        stmt = program(text)
+        out = exec_stmt(stmt, store, fuel, None if i is None else loops(stmt)[i])
+        return out.kind if isinstance(out, ExecError) else out
+
+    assert kind("IF x / y = 0 THEN x := 1 ELSE skip", {"x": 0, "y": 0}, 5) == "DivByZero"
+    assert kind("WHILE x / y = 0 DO skip", {"x": 0, "y": 0}, 5) == "DivByZero"
+    assert kind("x := 2; WHILE 0 = 0 DO x := x ^ x", {"x": 0}, 6) == "Overflow"
+    assert kind("x := 1; y := w + x", {"x": 0, "y": 0}, 5) == "UnboundVar"
+    assert kind("WHILE x < 3 DO x := x + 1", {"x": 0}, 2) == FuelExhausted()
+    assert kind("WHILE x < 3 DO x := x + 1", {"x": 0}, 3) == Finished({"x": 3}, ())
+    block = "x := 1; BEGIN VAR x, y; x := 2; y := x END; z := x"
+    assert kind(block, {"x": 0, "z": 0}, 0) == Finished({"x": 1, "z": 1}, ())
+    inner = kind(NEST, BOTH, 10, 1).visits
+    assert [[(s["i"], s["j"]) for s in visit] for visit in inner] == [[(0, 0), (0, 1)], [(1, 0), (1, 1), (1, 2)]]
+
+
+def test_a_local_declared_twice_is_one_local():
+    # The interpreter raised a KeyError on leaving such a block.
+    out = exec_stmt(program("y := 5; BEGIN VAR x, x; x := 3; y := x END"), {"y": 0}, 0)
+    assert out == Finished({"y": 3}, ())
 
 
 # --- the first qualifying store --------------------------------------------

@@ -235,6 +235,43 @@ def test_tuple_candidates_ordered_by_total_size():
     assert pairs[0] == (Num(0), Num(0))
 
 
+def test_a_pool_builds_a_size_3_template_when_first_asked_for(monkeypatch):
+    atoms, ops = [Num(0), Num(1), Var("a")], ("+", "-", "^")
+    # The eager list the pool used to build when it was made.
+    eager = [Op(op, (left, right)) for op in ops for left in atoms for right in atoms]
+    built = []
+    post_init = Op.__post_init__
+    monkeypatch.setattr(Op, "__post_init__", lambda node: post_init(node) or built.append(node))
+    pool = _Pool(atoms, ops)
+    assert built == []
+    kept = pool.lists[3][4]
+    assert built == [kept] and kept == eager[4]
+    assert pool.lists[3][4] is kept and len(built) == 1
+    assert list(pool(3)) == eager
+    assert all(pool.lists[3][j] is t for j, t in enumerate(pool(3))) and len(built) == len(eager)
+    # A row of size 3 gives the kept nodes, in the same order.
+    by_rows = [pool.template(row, j) for row in pool.rows(3) for j in range(len(atoms))]
+    assert all(t is kept for t, kept in zip(by_rows, pool.lists[3], strict=True))
+    with pytest.raises(IndexError):
+        pool.lists[3][len(eager)]
+
+
+def test_one_solve_builds_its_pools_once(monkeypatch):
+    # One pool serves the initials and the finals, and each variable has
+    # one step pool, however many initials reach the step search.
+    made, searched = [], []
+    init, find_step = _Pool.__init__, solver._Search._find_step
+    monkeypatch.setattr(_Pool, "__init__", lambda pool, *args: made.append(pool) or init(pool, *args))
+    monkeypatch.setattr(
+        solver._Search, "_find_step", lambda search, *args: searched.append(args) or find_step(search, *args)
+    )
+    annotated, d = discovered((Path(__file__).resolve().parent.parent / "programs" / "exp_simple.imp").read_text(encoding="utf-8"))
+    report = solve(annotated, d.node, d.putative, d.genvars, d.post)
+    assert report.verdict == VerifiedUpToBound(bound=6)
+    assert len(searched) > 1
+    assert len(made) == 1 + len(d.genvars)
+
+
 # --- the worked example -----------------------------------------------------------
 
 
