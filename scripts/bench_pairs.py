@@ -17,8 +17,11 @@ alternates from seed to seed which side runs first, so that a drift in
 the host's speed does not favour one side.  It prints every pair, then
 each side's median and quartiles for each end-to-end metric that
 ``BENCHMARK.json`` declares, the pairs the working tree won on
-``--metric``, and whether the two behaviour fingerprint digests matched
-in every pair, and exits 1 when they did not.  The copies are removed
+``--metric``, whether a gain on it may be claimed, and whether the two
+behaviour fingerprint digests matched in every pair, and exits 1 when
+they did not.  A gain may be claimed when the working tree won at least
+nine tenths of the pairs (a tie counts for neither side) and its median
+is better than REV's by more than REV's interquartile range.  The copies are removed
 afterwards, also when a run fails.
 
 The benchmark is run as it stands in each checkout; nothing under
@@ -119,6 +122,14 @@ def main(argv: list[str] | None = None) -> int:
     lower = better[args.metric] == "lower"
     won = sum((tree < rev) if lower else (tree > rev) for rev, tree, _ in pairs)
     print(f"tree won {won} of {len(pairs)} pairs on {args.metric} ({better[args.metric]} is better)")
+    q1, rev_median, q3 = quartiles([rev for rev, _, _ in pairs])
+    tree_median = statistics.median(tree for _, tree, _ in pairs)
+    gain = rev_median - tree_median if lower else tree_median - rev_median
+    claim = won * 10 >= 9 * len(pairs) and gain > q3 - q1
+    print(
+        f"gain claimable: {'yes' if claim else 'no'} (won {won} of {len(pairs)}, nine tenths needed; "
+        f"median gain {gain:.4g} against {args.rev}'s interquartile range {q3 - q1:.4g})"
+    )
     matched = sum(match for _, _, match in pairs)
     print(f"fingerprint digests matched in {matched} of {len(pairs)} pairs")
     return 0 if matched == len(pairs) else 1

@@ -12,7 +12,10 @@ on stdin, ``--format json``).  It first runs the pass once counting the
 ``Op`` nodes built, the ``Op`` nodes compiled into closures, the
 statements run (calls of ``exec_stmt`` by the solver), the template
 pools built (constructions of ``solver._Pool``), the full checks of step
-candidates (calls of ``_Search._preserves``) and the bounded box checks
+candidates (calls of ``_Search._preserves``), the full checks of
+initials (calls of ``solver._entry_counterexample``: the search's, plus
+one per conjunct without generalisation variables and one per re-check
+by ``check_requirements``) and the bounded box checks
 (calls of ``evaluator.first_store`` by ``verify``, requirement 3 and R5,
 the formulas they tested and the variables they solved for, as calls of
 ``evaluator.holds`` and ``evaluator._admitted`` inside them, and the
@@ -53,11 +56,13 @@ def run_pass(programs: list[workloads.Program]) -> None:
 
 def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
     """The Op nodes built and compiled, the statements run, the template
-    pools built, the full checks of step candidates, and the box checks
-    with the formulas they tested, the variables they solved for and the
-    stores a plain scan would have visited, during one pass."""
-    built = compiled = executed = pools = checked = boxes = tested = solved = scanned = 0
+    pools built, the full checks of step candidates and of initials, and
+    the box checks with the formulas they tested, the variables they
+    solved for and the stores a plain scan would have visited, during one
+    pass."""
+    built = compiled = executed = pools = checked = initials = boxes = tested = solved = scanned = 0
     post_init, compile_, preserves = Op.__post_init__, evaluator._compiled, solver._Search._preserves
+    entry_counterexample = solver._entry_counterexample
     exec_stmt, pool_init = solver.exec_stmt, solver._Pool.__init__
     first_store, holds, admitted = evaluator.first_store, evaluator.holds, evaluator._admitted
     callers = (cli, simplifier, solver)  # each calls first_store by its own name
@@ -87,6 +92,11 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
         checked += 1
         return preserves(*args)
 
+    def counting_entry_counterexample(*args):
+        nonlocal initials
+        initials += 1
+        return entry_counterexample(*args)
+
     def counting_first_store(*args):
         nonlocal boxes, scanned
         boxes += 1
@@ -110,6 +120,7 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
 
     Op.__post_init__, evaluator._compiled = counting_post_init, counting_compile
     solver._Search._preserves = counting_preserves
+    solver._entry_counterexample = counting_entry_counterexample
     solver.exec_stmt, solver._Pool.__init__ = counting_exec_stmt, counting_pool_init
     for module in callers:
         module.first_store = counting_first_store
@@ -118,10 +129,11 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
     finally:
         Op.__post_init__, evaluator._compiled = post_init, compile_
         solver._Search._preserves = preserves
+        solver._entry_counterexample = entry_counterexample
         solver.exec_stmt, solver._Pool.__init__ = exec_stmt, pool_init
         for module in callers:
             module.first_store = first_store
-    return built, compiled, executed, pools, checked, boxes, tested, solved, scanned
+    return built, compiled, executed, pools, checked, initials, boxes, tested, solved, scanned
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,11 +144,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     programs = workloads.generate(args.workload, args.seed)
-    built, compiled, executed, pools, checked, boxes, tested, solved, scanned = count_work(programs)
+    built, compiled, executed, pools, checked, initials, boxes, tested, solved, scanned = count_work(programs)
     print(f"{args.workload} seed {args.seed}: {len(programs)} programs")
     print(
         f"Op nodes built {built:,}, compiled {compiled:,}; exec_stmt calls {executed:,}; "
-        f"template pools built {pools:,}; full checks of steps {checked:,}"
+        f"template pools built {pools:,}; full checks of steps {checked:,}, of initials {initials:,}"
     )
     print(
         f"box checks (first_store) {boxes:,}: {tested:,} formulas tested, {solved:,} solves, "

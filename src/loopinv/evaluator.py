@@ -231,6 +231,44 @@ def holds(e: Expr, store: Store) -> bool:
     return v
 
 
+def conjunction(formulas: list[Expr]) -> Callable[[Store], bool]:
+    """`holds` of every formula, in order, as one closure over their
+    compiled closures, for a caller that tests the same formulas at many
+    stores: false at the first that is false or fails to evaluate."""
+    tests = [_compiled(f) for f in formulas]
+
+    def run(store: Store) -> bool:
+        for test in tests:
+            try:
+                v = test(store)
+            except (EvalError, KeyError):  # KeyError: a variable looked up in vain
+                return False
+            if v is not True:
+                if v is False:
+                    return False
+                raise ValueError(f"holds() needs a boolean expression, got value {v!r}")
+        return True
+
+    return run
+
+
+def valuation(exprs: dict[str, Expr]) -> Callable[[Store], dict[str, int | None]]:
+    """The values of `exprs` at a store, by name, as one closure over
+    their compiled closures; None where one fails to evaluate."""
+    compiled = [(name, _compiled(e)) for name, e in exprs.items()]
+
+    def run(store: Store) -> dict[str, int | None]:
+        values: dict[str, int | None] = {}
+        for name, value in compiled:
+            try:
+                values[name] = value(store)
+            except (EvalError, KeyError):
+                values[name] = None
+        return values
+
+    return run
+
+
 def stores(names: list[str], bound: int) -> Iterator[Store]:
     """Every store over `names` with values ≤ bound, once each: smallest
     maximum first, lexicographic among stores with the same maximum (the

@@ -94,31 +94,35 @@ pass/fail, the iterations a passing step validates, ``candidates_tried``,
 assignments and verdicts are those of a scan smallest input first.
 Only the work counters of ``SolveStats`` (``stores_tested``,
 ``eval_rejections``, ``step_truncations``) fall.  Since almost every
-candidate is refuted at the front, it is first judged there by value
-alone (``_Front``): an initial at the front entry, a step along the
-front run as the full check would walk it, iteration by iteration, from
-the value the initial fixes (``_front_run``).  A candidate's last
-template is scanned by rows (``_Search._survivors``): at each store the
-atoms are evaluated, the templates of size 3 are valued from them by
-``evaluator.ARITHMETIC`` when first needed, and a row's template is its
-operator applied to two such values.  A row is judged whole at the front
-store (``_Level.summary``): the right templates are grouped by value
-once per store, so the test runs once per tuple of values, and the scan
-jumps from one survivor to the next, counting the refuted templates in
-between in bulk.  A survivor that passes the front store is valued and
-tested again at each later iteration of the front run, with the
-variables at the values walked to; there is one set of values per
+candidate is refuted by an item that has refuted one before, it is
+first judged on those items by value alone (``_Front``): an initial at
+their entry stores, a step along their runs as the full check walks
+them, from the value the initial fixes (``_front_run``).  A candidate's
+last template is scanned by rows (``_Search._survivors``): at each
+store the atoms are evaluated, the templates of size 3 are valued from
+them by ``evaluator.ARITHMETIC`` when first needed, and a row's
+template is its operator applied to two such values.  A row is judged
+whole at the front store (``_Level.summary``): the right templates are
+grouped by value once per store, so the test runs once per tuple of
+values, and the scan jumps from one survivor to the next, counting the
+refuted templates in between in bulk.  A survivor that passes the front
+store is valued and tested again at each later iteration of the front
+run, with the variables at the values walked to, and then along each
+later judged item in list order; there is one set of values per
 iteration and values of the variables, and the invariant usually pins
-them.  A refuted candidate is never built; its counts reach
+them.  The judged items are the prefix of the list that has been at the
+front (see ``_Front``).  A refuted candidate is never built: the
+refuting item is moved to the front, and the full check's counts reach
 ``SolveStats`` before the next survivor and before the budget runs out,
-so every count, and the candidate the budget stops at, are those of the
-full check alone.  A step that passes the whole front run, and a
-truncating step error, go on to the full check, which counts the front
-run itself and may put another item in front.  The finals and the
-conditional steps are scanned without a front: the finals check starts
-at the smallest stores, where a final is usually refuted.  The initials
-are evaluated once per run for each initial that holds, not once per
-step candidate.
+so every count, the order of the items and the candidate the budget
+stops at are those of the full check alone.  A candidate that passes
+every judged item goes on to the full check, which may put another item
+in front.  The full checks hold one closure for the conjuncts and one
+for the candidate (``evaluator.conjunction`` and ``valuation``).  The
+finals and the conditional steps are scanned without a front: the
+finals check starts at the smallest stores, where a final is usually
+refuted.  The initials are evaluated once per run for each initial that
+holds, not once per step candidate.
 ``check_requirements`` passes fresh lists in the order the runs were
 collected, smallest input first, so it reports the first counterexample
 in that order.
@@ -134,7 +138,7 @@ from dataclasses import dataclass, field
 
 from .evaluator import (
     _ANY, _NONE, ARITHMETIC, EvalError, Finished, Store, Visit, _admitted, _occurrences,
-    eval_expr, exec_stmt, first_store, holds, stores,
+    conjunction, eval_expr, exec_stmt, first_store, holds, stores, valuation,
 )
 from .parser import pretty
 from .terms import (
@@ -505,6 +509,9 @@ def _to_front(items: list, i: int) -> None:
     items.insert(0, items.pop(i))
 
 
+Holding = Callable[[Store], bool]  # a conjunction, as `evaluator.conjunction` compiles it
+
+
 def _entry_counterexample(
     conjuncts: list[Expr], initial: dict[str, Expr], entries: list[Store], stats: SolveStats
 ) -> Store | None:
@@ -513,9 +520,9 @@ def _entry_counterexample(
     variable at its initial value; None when every entry passes.  The
     refuting entry is moved to the front of `entries`, so that a caller
     passing the same list again tries it first."""
+    holding, valued = conjunction(conjuncts), valuation(initial)
     for i, entry in enumerate(entries):
-        gvals = {g: _value(e, entry) for g, e in initial.items()}
-        if not _entry_holds(conjuncts, entry, gvals, stats):
+        if not _entry_holds(holding, entry, valued(entry), stats):
             _to_front(entries, i)
             return entry
     return None
@@ -529,17 +536,15 @@ def _value(e: Expr, env: Store) -> int | None:
         return None
 
 
-def _entry_holds(
-    conjuncts: list[Expr], entry: Store, gvals: dict[str, int | None], stats: SolveStats
-) -> bool:
-    """Requirement 1 at one entry store, given the initials' values there,
-    None where one fails to evaluate, which refutes it."""
+def _entry_holds(holding: Holding, entry: Store, gvals: dict[str, int | None], stats: SolveStats) -> bool:
+    """Requirement 1 at one entry store, given the conjuncts' conjunction
+    and the initials' values there, None where one fails to evaluate,
+    which refutes it."""
     if None in gvals.values():
         stats.eval_rejections += 1
         return False
     stats.stores_tested += 1
-    env = {**entry, **gvals}
-    return all(holds(c, env) for c in conjuncts)
+    return holding({**entry, **gvals})
 
 
 Start = tuple[LoopRun, dict[str, int]]  # a run and the generalisation variables' initial values
@@ -552,10 +557,11 @@ def _starts(initial: dict[str, Expr], runs: list[LoopRun]) -> list[Start]:
 
 
 def _advance(
-    conjuncts: list[Expr], nxt: dict[str, int | None], post: Store, stats: SolveStats
+    conjuncts: list[Expr], holding: Holding, nxt: dict[str, int | None], post: Store, stats: SolveStats
 ) -> tuple[bool, dict[str, int] | None]:
-    """Requirement 2 on one observed iteration to `post`, given the step's
-    values `nxt`, None where one fails to evaluate.  A step error truncates
+    """Requirement 2 on one observed iteration to `post`, given the
+    conjunction of `conjuncts` and the step's values `nxt`, None where
+    one fails to evaluate.  A step error truncates
     the run when, at the post-store with the other variables' next values,
     the conjuncts leave the next value of every failing variable
     undetermined, or cannot tell; otherwise it refutes the step.  (False,
@@ -572,7 +578,7 @@ def _advance(
         stats.step_truncations += 1
         return True, None
     stats.stores_tested += 1
-    return all(holds(c, env_post) for c in conjuncts), gvals
+    return holding(env_post), gvals
 
 
 def _step_counterexample(
@@ -585,13 +591,14 @@ def _step_counterexample(
     that a caller passing the same list again tries it first.  A step
     passes only on every run, so the order decides which counterexample
     is found, never whether one is, nor `validated` when none is."""
+    holding, valued = conjunction(conjuncts), valuation(step)
     validated = 0
     for i, (run, gvals) in enumerate(starts):
         # Each pre-store is the entry store, where requirement 1 holds, or
         # the post-store of the iteration before, where the conjuncts held.
         for pre, post in run.transitions:
             env_pre = {**pre, **gvals}
-            ok, nxt = _advance(conjuncts, {g: _value(e, env_pre) for g, e in step.items()}, post, stats)
+            ok, nxt = _advance(conjuncts, holding, valued(env_pre), post, stats)
             if not ok:
                 _to_front(starts, i)
                 return env_pre, validated
@@ -682,15 +689,18 @@ class _Summary:
         return rejected, tested
 
 
-Outcome = tuple[int, int] | None  # counts of a refutation, or None: the full check decides
+# Where a store ends the check of an item: (refuted, eval_rejections,
+# stores_tested, step_truncations), the counts the full check adds there.
+Outcome = tuple[bool, int, int, int]
 
 
 class _Level:
-    """One store of the front item, where candidates are judged by value:
-    an entry store for initials, an iteration of the front run for steps.
+    """One store of an item of the front, where candidates are judged by
+    value: an entry store for initials, an iteration of a run for steps.
     `test(values, stats)` is the full check's test of that store: False
-    when it refutes, None when the full check must decide, or the
-    `_Level` of the next iteration when it passes."""
+    when it refutes, True when the item passes there (an entry that
+    holds, a run's last iteration, a truncating step error), or the
+    `_Level` of the next iteration."""
 
     def __init__(self, pool: _Pool, env: Store, test: Callable):
         self.values, self.test = _Values(pool, env), test
@@ -702,7 +712,9 @@ class _Level:
         if key not in self.outcomes:
             tally = SolveStats()
             got = self.test(dict(zip(genvars, key)), tally)
-            self.outcomes[key] = (tally.eval_rejections, tally.stores_tested) if got is False else got
+            self.outcomes[key] = got if isinstance(got, _Level) else (
+                not got, tally.eval_rejections, tally.stores_tested, tally.step_truncations
+            )
         return self.outcomes[key]
 
     def summary(self, genvars: tuple[str, ...], heads: list[Expr], row: Row) -> _Summary:
@@ -716,55 +728,55 @@ class _Level:
             survivors, refuted = [], {}
             for rv, positions in self.values.positions(rs).items():
                 got = self.outcome(genvars, head + (_apply(op, lv, rv),))
-                (refuted.setdefault(got, []) if isinstance(got, tuple) else survivors).extend(positions)
+                if isinstance(got, tuple) and got[0]:
+                    refuted.setdefault(got[1:3], []).extend(positions)
+                else:
+                    survivors.extend(positions)
             self.summaries[key] = _Summary(
                 sorted(survivors), [(sorted(p), *counts) for counts, p in refuted.items()]
             )
         return self.summaries[key]
 
-    def fate(self, genvars: tuple[str, ...], heads: list[Expr], row: Row, j: int) -> Outcome:
-        """The counts of refuting the candidate of `heads` and the row's
-        j-th template here or at a later store of the front item, where the
-        heads and the template are valued again; each store passed on the
-        way counts as tested.  None when the full check decides."""
-        level, passed = self, 0
-        while True:
-            key = tuple(_value(h, level.values.env) for h in heads) + (level.values.at(row, j),)
-            got = level.outcome(genvars, key)
-            if not isinstance(got, _Level):
-                return got and (got[0], got[1] + passed)
-            level, passed = got, passed + 1
+
+def _entry_level(holding: Holding, pool: _Pool, entry: Store) -> _Level:
+    """An entry store as the `_Level` of an item of the initials' front,
+    given the conjuncts' conjunction."""
+    return _Level(pool, entry, functools.partial(_entry_holds, holding, entry))
 
 
-def _entry_level(conjuncts: list[Expr], pool: _Pool, entry: Store) -> _Level:
-    """An entry store as the `_Level` of the initials' front, which has no
-    later store: a candidate that holds there goes to the full check."""
-    return _Level(
-        pool, entry, lambda gvals, stats: None if _entry_holds(conjuncts, entry, gvals, stats) else False
-    )
-
-
-def _front_run(conjuncts: list[Expr], pool: _Pool, start: Start, j: int = 0) -> _Level | None:
+def _front_run(
+    conjuncts: list[Expr], holding: Holding, pool: _Pool, start: Start, j: int = 0
+) -> _Level | None:
     """The j-th iteration of a start's run as a `_Level` of the step front:
-    `_step_counterexample` on that run alone, from values.  A pass leads to
-    the next iteration, entered with the values the step gave; a truncating
-    error and the end of the run leave the candidate to the full check."""
+    `_step_counterexample` on that run alone, from values, given the
+    conjunction of `conjuncts`.  A pass leads to the next iteration,
+    entered with the values the step gave; a truncating error and the
+    last iteration pass the run.  None for a run without iterations."""
     run, gvals = start
     if j == len(run.transitions):
         return None
     pre, post = run.transitions[j]
 
-    def test(nxt: dict[str, int | None], stats: SolveStats) -> bool | _Level | None:
-        ok, after = _advance(conjuncts, nxt, post, stats)
-        return ok and (None if after is None else _front_run(conjuncts, pool, (run, after), j + 1))
+    def test(nxt: dict[str, int | None], stats: SolveStats) -> bool | _Level:
+        ok, after = _advance(conjuncts, holding, nxt, post, stats)
+        if ok and after is not None and j + 1 < len(run.transitions):
+            return _front_run(conjuncts, holding, pool, (run, after), j + 1)
+        return ok
 
     return _Level(pool, {**pre, **gvals}, test)
 
 
 class _Front:
-    """Requirement 1 or 2 at the front of `items` (the entries or starts
-    that the full check reorders) alone, judged by the values of
-    `genvars`.  `prepare(item)` gives the item's first `_Level`, or None."""
+    """Requirement 1 or 2 on the judged items of `items` (the entries or
+    starts that the full check reorders), by the values of `genvars`.
+    `prepare(item)` gives an item's first `_Level`, or None; an item's
+    chain of `_Level`s is built when it first comes to the front.  Since
+    `_to_front` moves every refuter there, the items that have been at
+    the front are a prefix of the list, and the full check tries them
+    first: they are the judged items.  The judgement stops at the first
+    item with no `_Level`, which the full check may pass: building the
+    chains of items that have never refuted a candidate costs more than
+    the full checks it would spare."""
 
     def __init__(self, genvars: tuple[str, ...], items: list, prepare: Callable[..., _Level | None]):
         self.genvars, self.items, self.prepare = genvars, items, prepare
@@ -779,6 +791,32 @@ class _Front:
         if id(item) not in self.fronts:
             self.fronts[id(item)] = self.prepare(item)
         return self.fronts[id(item)]
+
+    def judge(self, level: _Level, heads: list[Expr], row: Row, j: int) -> tuple[int, int, int] | None:
+        """The (eval_rejections, stores_tested, step_truncations) that the
+        full check adds in refuting the candidate of `heads` and the row's
+        j-th template on the judged items, where the heads and the template
+        are valued again at each store; the refuting item is moved to the
+        front, as the full check moves it.  None when every judged item
+        passes, and the full check decides.  `level` is the front item's
+        first `_Level` (`current`)."""
+        rejected = tested = truncated = 0
+        for k, item in enumerate(self.items):
+            if k and (level := self.fronts.get(id(item))) is None:
+                return None
+            while True:
+                key = (*[_value(h, level.values.env) for h in heads], level.values.at(row, j))
+                got = level.outcome(self.genvars, key)
+                if not isinstance(got, _Level):
+                    break
+                level, tested = got, tested + 1
+            refuted, r, t, tr = got
+            if refuted:
+                if k:
+                    _to_front(self.items, k)
+                return rejected + r, tested + t, truncated + tr
+            rejected, tested, truncated = rejected + r, tested + t, truncated + tr
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -862,10 +900,11 @@ class _Search:
                             break
                         self._spend()  # a survivor, or the candidate at which the budget runs out
                         j = stop + 1
-                        counts = level and level.fate(front.genvars, heads, row, stop)
+                        counts = level and front.judge(level, heads, row, stop)
                         if counts:
                             stats.eval_rejections += counts[0]
                             stats.stores_tested += counts[1]
+                            stats.step_truncations += counts[2]
                         else:
                             yield *heads, last.template(row, stop)
 
@@ -876,7 +915,8 @@ class _Search:
         return refuting is None and (validated > 0 or not self.any_transition)
 
     def solve_component(self, comp: _Component) -> tuple[dict[str, Expr], dict[str, Expr]]:
-        front = _Front(comp.genvars, self.entries, functools.partial(_entry_level, comp.conjuncts, self.pool))
+        prepare = functools.partial(_entry_level, conjunction(comp.conjuncts), self.pool)
+        front = _Front(comp.genvars, self.entries, prepare)
         some_initial_held = False
         try:
             for heads in self._survivors([self.pool] * len(comp.genvars), front):
@@ -906,7 +946,8 @@ class _Search:
     def _find_step(self, comp: _Component, starts: list[Start]) -> dict[str, Expr] | None:
         conditional = self.branch_cond is not None and len(comp.genvars) == 1
         pools = [self.step_pools[g] for g in comp.genvars]
-        front = _Front(comp.genvars, starts, functools.partial(_front_run, comp.conjuncts, pools[-1]))
+        prepare = functools.partial(_front_run, comp.conjuncts, conjunction(comp.conjuncts), pools[-1])
+        front = _Front(comp.genvars, starts, prepare)
         # With a branching body, cap unconditional templates so the
         # conditional stage is reachable within the budget.
         steps: Iterable[tuple[Expr, ...]] = self._survivors(pools, front, 5 if conditional else None)

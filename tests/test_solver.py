@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopinv.engine import annotate_program
@@ -27,6 +27,7 @@ from loopinv.solver import (
     _entry_counterexample,
     _starts,
     _step_counterexample,
+    _to_front,
     check_requirements,
     collect_trajectories,
     diagnose_lost_variables,
@@ -607,14 +608,17 @@ def test_inversion_plans_are_cached_on_the_conjunct(monkeypatch):
     assert (hash(c), repr(c)) == before and c == twin
 
 
-def test_iterate_with_one_of_two_step_variables_failing(monkeypatch):
+def test_iterate_with_one_of_two_step_variables_failing():
     # b / z fails at z = 0; a + 1 evaluates, and y*b = k*a sees its next
-    # value.  The step is evaluated once per variable, errors included.
+    # value.  The step is evaluated once per variable, errors included: a
+    # counting closure is planted where each step node keeps its compiled one.
     conjuncts = [e("x = a"), e("y * b = k * a")]
     step = {"a": e("a + 1"), "b": e("b / z")}
     pre, gvals = {"x": 0, "y": 0, "k": 0, "z": 0}, {"a": 0, "b": 1}
     evaluated = []
-    monkeypatch.setattr(solver, "eval_expr", lambda t, s: evaluated.append(t) or eval_expr(t, s))
+    for t in step.values():
+        run = evaluator._compiled(t)
+        object.__setattr__(t, "_closure", lambda s, t=t, run=run: evaluated.append(t) or run(s))
 
     def one_transition(post):
         return [(LoopRun((pre, post)), gvals)]
@@ -624,7 +628,7 @@ def test_iterate_with_one_of_two_step_variables_failing(monkeypatch):
     starts = one_transition({"x": 1, "y": 0, "k": 0, "z": 0})
     assert _step_counterexample(conjuncts, step, starts, stats) == (None, 0)
     assert stats == SolveStats(step_truncations=1)
-    assert [t for t in evaluated if t in step.values()] == list(step.values())
+    assert evaluated == list(step.values())
 
     # y = 1 and k*a = 2*1 pin b to 2: the error rejects the step.
     stats = SolveStats()
@@ -797,7 +801,8 @@ def test_the_front_check_changes_no_outcome_on_counting_loops(source, budget):
     assert_front_changes_nothing(source, SolverConfig(domain_bound=3, max_candidates=budget))
 
 
-CORPUS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.imp"))
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+CORPUS = sorted(PROGRAMS.glob("*.imp"))
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
@@ -943,58 +948,155 @@ def front_says(front, pool, candidate):
         for row in pool.rows(n):
             for j in range(len(pool.lists[row[3]])):
                 if pool.template(row, j) == last:
-                    return front.current().fate(tuple(candidate), heads, row, j)
+                    return front.judge(front.current(), heads, row, j)
     raise ValueError(f"{pretty(last)} is in no row of size 1 or 3")
 
 
-def exp_simple_front(k, transitions):
-    """exp_simple's conjuncts, its starts with the initials n and k^n and
-    a run of the given k with the given number of iterations in front,
-    its step pool and a front over them."""
+def exp_simple_front(*judged):
+    """exp_simple's conjuncts, its starts with the initials n and k^n, its
+    step pool and a front over them whose judged items are the runs of the
+    given (k, iterations), in that order."""
     annotated, d = discovered(EXP_SIMPLE)
     runs = collect_trajectories(annotated, d.node, SolverConfig())
     conjuncts = top_conjuncts(d.putative)
     g_count, g_power = d.genvars
     starts = _starts({g_count: Var("n"), g_power: e("k ^ n")}, runs)
-    i = next(
-        i for i, (run, _) in enumerate(starts)
-        if run.entry["k"] == k and len(run.transitions) == transitions
-    )
-    starts.insert(0, starts.pop(i))
     atoms = [Num(0), Num(1), Num(2), Var("k"), Var("n"), Var("x"), Var("y"), Var(g_power)]
     pool = _Pool(atoms, SolverConfig().operator_pool)
-    prepare = functools.partial(solver._front_run, conjuncts, pool)
-    return conjuncts, starts, pool, solver._Front(d.genvars, starts, prepare)
+    prepare = functools.partial(solver._front_run, conjuncts, evaluator.conjunction(conjuncts), pool)
+    front = solver._Front(d.genvars, starts, prepare)
+    for k, transitions in reversed(judged):
+        i = next(
+            i for i, (run, _) in enumerate(starts)
+            if run.entry["k"] == k and len(run.transitions) == transitions
+        )
+        _to_front(starts, i)
+        front.current()
+    return conjuncts, starts, pool, front
+
+
+def full_check(conjuncts, step, starts):
+    """The full check's counts on the given starts, which it may reorder."""
+    stats = SolveStats()
+    _step_counterexample(conjuncts, step, starts, stats)
+    return stats.eval_rejections, stats.stores_tested, stats.step_truncations
 
 
 def test_a_division_step_still_truncates_on_the_k0_runs():
     # On a k = 0 run, g4/k fails where y*g4 = k^n admits every value of g4:
-    # the front leaves that to the full check, which truncates the run.
-    conjuncts, starts, pool, front = exp_simple_front(0, 1)
+    # the run is truncated, by value at the front as in the full check.
+    conjuncts, starts, pool, front = exp_simple_front((0, 1))
     step = {"g3": e("g3 - 1"), "g4": e("g4 / k")}
-    assert front_says(front, pool, step) is None  # the full check counts the front itself
+    assert front_says(front, pool, step) is None  # the one judged run passes
     stats = SolveStats()
     refuting, validated = _step_counterexample(conjuncts, step, starts, stats)
     assert refuting is None and validated > 0 and stats.step_truncations > 0
     # Where x + g3 = n pins g3's next value, the error of g3/k refutes.
-    assert front_says(front, pool, {"g3": e("g3 / k"), "g4": e("g4 / k")}) == (1, 0)
+    assert front_says(front, pool, {"g3": e("g3 / k"), "g4": e("g4 / k")}) == (1, 0, 0)
+    # Behind the truncated run, a k = 1 run refutes g3 at its first
+    # iteration; the truncation is counted once, as the full check counts it.
+    conjuncts, starts, pool, front = exp_simple_front((0, 1), (1, 1))
+    judged, k1_run = starts[:2], starts[1]
+    step = {"g3": Var("g3"), "g4": e("g4 / k")}
+    assert front_says(front, pool, step) == (0, 1, 1) == full_check(conjuncts, step, judged)
+    assert starts[:2] == judged and judged[0] is k1_run  # both moved it to the front
 
 
-def test_a_step_truncating_at_a_later_iteration_goes_to_the_full_check():
+def test_a_step_truncating_at_a_later_iteration_passes_the_run_by_value():
     # On a k = 0 run with n = 2, g4/(1-x) passes the first iteration, where
     # y = 0 afterwards admits every g4, and fails at the second, where it
     # divides by 0 and y = 0 still admits every g4: the run truncates there,
-    # which only the full check, going on to the other runs, may count.
-    conjuncts, starts, pool, front = exp_simple_front(0, 2)
+    # and the front passes it by value, as the full check goes on to the
+    # other runs.
+    conjuncts, starts, pool, front = exp_simple_front((0, 2))
     step = {"g3": e("g3 - 1"), "g4": e("g4 / (1 - x)")}
     first = front.current()
     # From g3 = 2 and g4 = 0^2, the step gives g3 = 1 and g4 = 0, which pass.
-    assert isinstance(first.outcome(("g3", "g4"), (1, 0)), solver._Level)
+    second = first.outcome(("g3", "g4"), (1, 0))
+    assert isinstance(second, solver._Level)
+    assert second.outcome(("g3", "g4"), (0, None)) == (False, 0, 0, 1)  # passed, truncated
     row, j = ("/", 1, 7, 3), pool.lists[3].index(e("1 - x"))  # atom 7 is g4
-    assert pool.template(row, j) == step["g4"] and first.fate(("g3", "g4"), [step["g3"]], row, j) is None
+    assert pool.template(row, j) == step["g4"] and front.judge(first, [step["g3"]], row, j) is None
+    assert full_check(conjuncts, step, starts[:1]) == (0, 1, 1)
+    # Behind it, a k = 1 run with n = 2 rejects the error at its second
+    # iteration, where y*g4 = 1 pins g4: the counts are both runs' together.
+    conjuncts, starts, pool, front = exp_simple_front((0, 2), (1, 2))
+    judged = starts[:2]
+    got = front.judge(front.current(), [step["g3"]], row, j)
+    assert got == (1, 2, 1) == full_check(conjuncts, step, judged)
+    assert starts[:2] == judged  # the full check moved the k = 1 run to the front too
+
+
+@functools.cache
+def front_case(name):
+    """A program's conjuncts, generalisation variables (a count and a
+    power), runs at bound 3, initials that hold on every entry, and atoms:
+    exp_simple, whose k = 0 runs truncate a step that fails there, or
+    square-multiply (exp_binary_pos) with its coarsened invariant."""
+    if name == "exp_simple":
+        annotated, d = discovered(EXP_SIMPLE)
+        putative = d.putative
+    else:
+        annotated, (d,) = annotate_program(parse_program((PROGRAMS / "exp_binary_pos.imp").read_text(encoding="utf-8")))
+        putative = e("x = {} /\\ y * {} = k ^ n".format(*d.genvars))
+    runs = collect_trajectories(annotated, d.node, SolverConfig(domain_bound=3))
+    g_count, g_power = d.genvars
+    initial = {g_count: Var("n"), g_power: e("k ^ n")}
+    atoms = [Num(v) for v in (0, 1, 2)] + [Var(n) for n in sorted(runs[0].entry)]
+    return top_conjuncts(putative), d.genvars, runs, initial, atoms
+
+
+def draw_template(data, pool):
+    """A row of size 1, 3 or 5 of `pool` and a position in it."""
+    row = data.draw(st.sampled_from(list(pool.rows(data.draw(st.sampled_from([1, 3, 5]))))))
+    return row, data.draw(st.integers(0, len(pool.lists[row[3]]) - 1))
+
+
+def refuter(kind, conjuncts, candidate, items, stats):
+    """The full check of an initial or step candidate on `items`."""
+    if kind == "initial":
+        return _entry_counterexample(conjuncts, candidate, items, stats)
+    return _step_counterexample(conjuncts, candidate, items, stats)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["exp_simple", "square-multiply"]), st.sampled_from(["initial", "step"]), st.data())
+def test_the_front_judges_as_the_full_check_on_its_judged_items(name, kind, data):
+    # The judged items are those brought to the front, in a drawn refuter
+    # order: a candidate's verdict there, its counts and the item moved to
+    # the front are those of the full check run on those items alone.
+    conjuncts, genvars, runs, initial, atoms = front_case(name)
+    ops, holding = SolverConfig().operator_pool, evaluator.conjunction(conjuncts)
+    if kind == "initial":
+        items, pools = [r.entry for r in runs], [_Pool(atoms, ops)] * len(genvars)
+        prepare = functools.partial(solver._entry_level, holding, pools[-1])
+    else:
+        items, pools = _starts(initial, runs), [_Pool(atoms + [Var(g)], ops) for g in genvars]
+        prepare = functools.partial(solver._front_run, conjuncts, holding, pools[-1])
+    *heads, (row, j) = [draw_template(data, pool) for pool in pools]
+    heads = [pool.template(*h) for pool, h in zip(pools, heads)]
+    candidate = dict(zip(genvars, heads + [pools[-1].template(row, j)]))
+    # Most candidates fail at the front, so the items brought there last
+    # are drawn among those with a `_Level` that the candidate passes.
+    passing = [
+        item for item in items
+        if prepare(item) and refuter(kind, conjuncts, candidate, [item], SolveStats()) is None
+    ]
+    brought = data.draw(st.lists(st.sampled_from(items), min_size=1, max_size=4))
+    brought += data.draw(st.lists(st.sampled_from(passing), min_size=1, max_size=4)) if passing else []
+    front = solver._Front(genvars, items, prepare)
+    for item in brought:
+        _to_front(items, next(k for k, other in enumerate(items) if other is item))
+        front.current()
+    level = front.current()
+    assume(level is not None)  # a run without iterations judges nothing
+    p = next((k for k, item in enumerate(items) if front.fronts.get(id(item)) is None), len(items))
+    judged, rest = items[:p], items[p:]
     stats = SolveStats()
-    _step_counterexample(conjuncts, step, starts[:1], stats)
-    assert (stats.stores_tested, stats.step_truncations) == (1, 1)
+    refuting = refuter(kind, conjuncts, candidate, judged, stats)
+    counts = stats.eval_rejections, stats.stores_tested, stats.step_truncations
+    assert front.judge(level, heads, row, j) == (None if refuting is None else counts)
+    assert [id(item) for item in items] == [id(item) for item in judged + rest]
 
 
 def test_a_later_iteration_starts_where_the_one_before_ended():
@@ -1027,7 +1129,7 @@ def test_a_two_variable_component_is_judged_at_the_front(monkeypatch):
 
     def recording(level, genvars, key):
         got = outcome(level, genvars, key)
-        if isinstance(got, tuple):  # a step is judged where the variables have values
+        if isinstance(got, tuple) and got[0]:  # a step is judged where the variables have values
             refuted.add((set(genvars) <= level.values.env.keys(), len(key)))
         return got
 
