@@ -18,12 +18,16 @@ one per conjunct without generalisation variables and one per re-check
 by ``check_requirements``) and the bounded box checks
 (calls of ``evaluator.first_store`` by ``verify``, requirement 3 and R5,
 the formulas they tested and the variables they solved for, as calls of
-``evaluator.holds`` and ``evaluator._admitted`` inside them, and the
-stores a plain scan up to the same store would have visited, the sum of
-the positions they return), then runs it again under cProfile and
-prints the 25 functions that rank highest by ``--sort`` (any ``pstats``
-key; default ``tottime``).  The counting pass runs without the profiler and the profiled pass without the counters, so
-neither distorts the other.  Nothing under ``perfbench/`` is changed.
+the formulas' closures in the checks that ``evaluator._checks`` compiles
+inside them and of the closures that ``evaluator._admission`` compiles
+there, and the stores a plain scan up to the same store would have
+visited, the sum of the positions they return), then runs it again under
+cProfile and prints the 25 functions that rank highest by ``--sort``
+(any ``pstats`` key; default ``tottime``).  The counting pass runs
+without the profiler and the profiled pass without the counters, so
+neither distorts the other.  It exits 1 when box checks ran but no
+formula was counted, so that a counter that no longer sees the tests
+does not go unnoticed.  Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
     post_init, compile_, preserves = Op.__post_init__, evaluator._compiled, solver._Search._preserves
     entry_counterexample = solver._entry_counterexample
     exec_stmt, pool_init = solver.exec_stmt, solver._Pool.__init__
-    first_store, holds, admitted = evaluator.first_store, evaluator.holds, evaluator._admitted
+    first_store, checks, admission = evaluator.first_store, evaluator._checks, evaluator._admission
     callers = (cli, simplifier, solver)  # each calls first_store by its own name
 
     def counting_post_init(node: Op) -> None:
@@ -100,23 +104,34 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
     def counting_first_store(*args):
         nonlocal boxes, scanned
         boxes += 1
-        evaluator.holds, evaluator._admitted = counting_holds, counting_admitted
+        evaluator._checks, evaluator._admission = counting_checks, counting_admission
         try:
             store, position = first_store(*args)
         finally:
-            evaluator.holds, evaluator._admitted = holds, admitted
+            evaluator._checks, evaluator._admission = checks, admission
         scanned += position
         return store, position
 
-    def counting_holds(*args):
-        nonlocal tested
-        tested += 1
-        return holds(*args)
+    def counting_checks(tests):
+        def counted(test):
+            def run(store):
+                nonlocal tested
+                tested += 1
+                return test(store)
 
-    def counting_admitted(*args):
-        nonlocal solved
-        solved += 1
-        return admitted(*args)
+            return run
+
+        return checks([(counted(test), want) for test, want in tests])
+
+    def counting_admission(*args):
+        admit = admission(*args)
+
+        def run(store):
+            nonlocal solved
+            solved += 1
+            return admit(store)
+
+        return run
 
     Op.__post_init__, evaluator._compiled = counting_post_init, counting_compile
     solver._Search._preserves = counting_preserves
@@ -154,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
         f"box checks (first_store) {boxes:,}: {tested:,} formulas tested, {solved:,} solves, "
         f"{scanned:,} stores for a plain scan"
     )
+    if boxes and not tested:
+        print("error: box checks ran but no formula was counted", file=sys.stderr)
+        return 1
     profile = cProfile.Profile()
     profile.runcall(run_pass, programs)
     pstats.Stats(profile, stream=sys.stdout).sort_stats(args.sort).print_stats(25)

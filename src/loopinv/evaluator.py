@@ -29,10 +29,14 @@ and the box is the free variables of the formulas it tests: no caller
 works it out.  It walks the box one variable at a time (``_walk``, which
 also enumerates ``stores``), backtracking with early checks (Bitner &
 Reingold, "Backtrack programming techniques", 1975): a variable that an
-equation pins is solved for (``_solve_for``, inverting ``+`` and ``*``)
+equation pins is solved for (``_inversion``, inverting ``+`` and ``*``)
 once the equation's other variables are bound rather than enumerated,
-and each formula is tested as soon as its variables are bound.  The
-witness search uses the same inversion to judge step errors.
+and each formula is tested as soon as its variables are bound.  Each
+call compiles its walk once: every step's checks become one closure
+over the formulas' closures, and every solve one closure over the
+equations' inversions, which are compiled closures kept on the
+equation's node.  The witness search uses the same inversion to judge
+step errors.
 """
 
 from __future__ import annotations
@@ -231,25 +235,35 @@ def holds(e: Expr, store: Store) -> bool:
     return v
 
 
-def conjunction(formulas: list[Expr]) -> Callable[[Store], bool]:
-    """`holds` of every formula, in order, as one closure over their
-    compiled closures, for a caller that tests the same formulas at many
-    stores: false at the first that is false or fails to evaluate."""
-    tests = [_compiled(f) for f in formulas]
+Check = Callable[[Store], bool]
+
+
+def _checks(tests: list[tuple[Compiled, bool]]) -> Check:
+    """Whether each formula, given as its compiled closure, has the wanted
+    truth at a store, as `holds` tells it (an evaluation error is false, a
+    non-boolean value raises ValueError), tested in order up to the first
+    that has not: one closure for a caller that tests the same formulas
+    at many stores."""
 
     def run(store: Store) -> bool:
-        for test in tests:
+        for test, want in tests:
             try:
                 v = test(store)
             except (EvalError, KeyError):  # KeyError: a variable looked up in vain
+                v = False
+            if v is not want:
+                if type(v) is not bool:
+                    raise ValueError(f"holds() needs a boolean expression, got value {v!r}")
                 return False
-            if v is not True:
-                if v is False:
-                    return False
-                raise ValueError(f"holds() needs a boolean expression, got value {v!r}")
         return True
 
     return run
+
+
+def conjunction(formulas: list[Expr]) -> Check:
+    """`holds` of every formula, in order, as one closure (`_checks`):
+    false at the first that is false or fails to evaluate."""
+    return _checks([(_compiled(f), True) for f in formulas])
 
 
 def valuation(exprs: dict[str, Expr]) -> Callable[[Store], dict[str, int | None]]:
@@ -277,43 +291,45 @@ def stores(names: list[str], bound: int) -> Iterator[Store]:
     and a search for a satisfying store ends near the origin, where
     witnesses tend to live.  No names give the one empty store.  This is
     `_walk` with every variable enumerated in order and nothing tested."""
-    steps = [(n, None, (), i == len(names) - 1) for i, n in enumerate(names)]
+    steps = [(n, None, None, i == len(names) - 1) for i, n in enumerate(names)]
     for m in range(bound + 1):
         for store in _walk(steps, m, m, {}):
             yield dict(store)
 
 
-# (variable, the conjuncts it is solved from or None, the (formula, wanted
-# truth) checks that its binding completes, whether it is the last enumerated)
-Step = tuple[str, list[Expr] | None, list[tuple[Expr, bool]], bool]
+Solving = Callable[[Store], tuple[int | None, Check | None]]
+
+# (variable, the closure that solves for it or None to enumerate it, the
+# check of the formulas its binding completes or None for none, whether it is
+# the last enumerated).  Solving gives what the equations it is solved from
+# admit, and the check of those of them still to test, or None (`_solving`).
+Step = tuple[str, Solving | None, Check | None, bool]
 
 
 def _walk(steps: list[Step], m: int, top: int, store: Store, d: int = 0, reached: bool = False) -> Iterator[Store]:
     """The stores that extend `store` by binding the variables of
     steps[d:] in turn, depth first, each in increasing order, where the
     enumerated variables have maximum `m`.  An enumerated variable takes
-    every value ≤ m; a solved one the value ≤ top that `_admitted` gives
-    over its conjuncts, none if they admit none, or every value ≤ top if
-    they admit any or cannot tell.  A branch is cut as soon as one of its
-    step's checks is not met.  `store` is reused: the caller copies what
-    it keeps."""
+    every value ≤ m; a solved one the value ≤ top that its equations
+    admit, none if they admit none, or every value ≤ top if they admit
+    any or cannot tell.  A branch is cut as soon as one of its step's
+    checks is not met.  `store` is reused: the caller copies what it
+    keeps."""
     if d == len(steps):
         if reached or m == 0:  # no enumerated values have maximum 0
             yield store
         return
-    g, around, checks, closing = steps[d]
-    if around is None:
+    g, solve, check, closing = steps[d]
+    pending = None
+    if solve is None:
         tries = (m,) if closing and not reached else range(m + 1)
     else:
-        v = _admitted(around, g, store)
+        v, pending = solve(store)
         tries = range(top + 1) if v is None or v == _ANY else (v,) if 0 <= v <= top else ()
     for v in tries:
         store[g] = v
-        for f, want in checks:
-            if holds(f, store) is not want:
-                break
-        else:
-            yield from _walk(steps, m, top, store, d + 1, reached or (around is None and v == m))
+        if (pending is None or pending(store)) and (check is None or check(store)):
+            yield from _walk(steps, m, top, store, d + 1, reached or (solve is None and v == m))
 
 
 _ANY, _NONE = -1, -2  # besides one natural, what an equation admits for a variable
@@ -325,17 +341,22 @@ def _occurrences(e: Expr, g: str) -> int:
     return sum(_occurrences(a, g) for a in view(e)[1])
 
 
-Inversion = tuple[Expr, tuple[tuple[str, Expr], ...], bool]
+Solve = Callable[[Store], int | None]
 
 
-def _inversion(c: Expr, g: str) -> Inversion | None:
-    """How to solve the conjunct `c` for `g`: (other, path, exact).
-    Evaluate `other`, the side without `g`, then undo each (operator,
-    other operand) of `path`, the walk from the root of the side holding
-    `g` down towards `g`.  The walk stops at `g` (`exact`) or at the
-    first node that is not + or *, where the inversion cannot tell.  None
-    unless `c` is an equation with `g` once on one side and not on the
-    other."""
+def _inversion(c: Expr, g: str) -> tuple[Solve, bool] | None:
+    """How to solve the conjunct `c` for `g`: the closure that gives the
+    values of `g` that make `c` hold at a store, and whether it is exact.
+    None unless `c` is an equation with `g` once on one side and not on
+    the other.  The closure evaluates `other`, the side without `g`, then
+    undoes each (operator, other operand) of the path from the root of the
+    side holding `g` down towards `g`, giving one natural, _ANY (every
+    natural) or _NONE.  The path stops at `g` (exact) or at the first
+    node that is not + or *, where the closure cannot tell (None) unless
+    the operands above already give _NONE or _ANY; an operand that fails
+    to evaluate cannot tell either.  A product would have to be wider
+    than `MAX_BITS` to reach a target that wide, so that gives _NONE, and
+    an exact natural makes `c` hold."""
     if not (isinstance(c, Op) and c.op == "="):
         return None
     side, other = c.args
@@ -343,76 +364,102 @@ def _inversion(c: Expr, g: str) -> Inversion | None:
         side, other = other, side
     if _occurrences(side, g) != 1 or g in free_vars(other):
         return None
-    path = []
-    while side != Var(g):
-        if not (isinstance(side, Op) and side.op in ("+", "*")):
-            return other, tuple(path), False
-        op, (a, b) = side.op, side.args
+    target, undo = _compiled(other), []
+    while isinstance(side, Op) and side.op in ("+", "*"):  # g is in `side`
+        (a, b), plus = side.args, side.op == "+"
         side, rest = (a, b) if g in free_vars(a) else (b, a)
-        path.append((op, rest))
-    return other, tuple(path), True
+        undo.append((plus, _compiled(rest)))
+    exact = isinstance(side, Var)
+
+    def run(store: Store) -> int | None:
+        try:
+            value = target(store)
+            for plus, rest in undo:
+                r = rest(store)
+                if plus:
+                    if value < r:
+                        return _NONE
+                    value -= r
+                elif r == 0:
+                    return _ANY if value == 0 else _NONE
+                elif value % r or value.bit_length() > MAX_BITS:
+                    return _NONE
+                else:
+                    value //= r
+        except (EvalError, KeyError):
+            return None
+        return value if exact else None
+
+    return run, exact
 
 
-def _plan(c: Expr, g: str) -> tuple[bool, Inversion | None]:
+def _plan(c: Expr, g: str) -> tuple[bool, Solve | None, bool]:
     """Whether the conjunct `c` mentions `g`, and its `_inversion` for
-    `g`: worked out on first use and kept in c's instance dict, since the
-    step search asks for them on every store where a step fails, and
-    `first_store` on every store it enumerates."""
+    `g` (None and False for none): worked out on first use and kept in
+    c's instance dict, since the step search asks for them on every store
+    where a step fails, and `first_store` on every call."""
     plans = getattr(c, "_plans", None)
     if plans is None:
         plans = {}
         object.__setattr__(c, "_plans", plans)  # frozen fields, writable instance dict
     plan = plans.get(g)
     if plan is None:
-        plan = plans[g] = (g in free_vars(c), _inversion(c, g))
+        plan = plans[g] = (g in free_vars(c), *(_inversion(c, g) or (None, False)))
     return plan
 
 
-def _solve_for(c: Expr, g: str, env: Store) -> int | None:
-    """The values of `g` that make the conjunct `c` hold at `env`: one
-    natural, _ANY (every natural) or _NONE.  None when this cannot tell:
-    `c` is not an equation with `g` once on one side under + and * only,
-    or the rest of it does not evaluate at `env`.  A shape outside + and
-    * still gives _NONE or _ANY when the operands above it already do."""
-    inversion = _plan(c, g)[1]
-    if inversion is None:
-        return None
-    other, path, exact = inversion
-    try:
-        target = eval_expr(other, env)
-        for op, rest in path:
-            r = eval_expr(rest, env)
-            if op == "+":
-                if target < r:
-                    return _NONE
-                target -= r
-            elif r == 0:
-                return _ANY if target == 0 else _NONE
-            elif target % r:
-                return _NONE
-            else:
-                target //= r
-    except EvalError:
-        return None
-    return target if exact else None
+def _admission(conjuncts: list[Expr], g: str) -> Callable[[Store], tuple[int | None, int]]:
+    """The closure that gives what the conjuncts mentioning `g` jointly
+    admit for it at a store: one natural, _ANY or _NONE; None when some
+    conjunct cannot tell and the others leave more than one value.  With
+    it comes the bit mask of those conjuncts (bit i for the i-th) whose
+    exact inversion gave a natural: they hold where `g` takes it."""
+    solves = []
+    for c in conjuncts:
+        mentions, solve, _ = _plan(c, g)
+        if mentions:
+            solves.append((1 << len(solves), solve or _const(None)))
+
+    def run(store: Store) -> tuple[int | None, int]:
+        result, unknown, told = _ANY, False, 0
+        for bit, solve in solves:
+            v = solve(store)
+            if v is None:
+                unknown = True
+                continue
+            if v >= 0:
+                told |= bit
+            if result == _ANY:
+                result = v
+            elif v != _ANY and v != result:
+                result = _NONE
+        return None if unknown and result == _ANY else result, told
+
+    return run
 
 
 def _admitted(conjuncts: list[Expr], g: str, env: Store) -> int | None:
-    """What the conjuncts mentioning `g` jointly admit for it at `env`:
-    one natural, _ANY or _NONE; None when some conjunct cannot tell and
-    the others leave more than one value."""
-    result, unknown = _ANY, False
-    for c in conjuncts:
-        if not _plan(c, g)[0]:
-            continue
-        v = _solve_for(c, g, env)
-        if v is None:
-            unknown = True
-        elif result == _ANY:
-            result = v
-        elif v != _ANY and v != result:
-            result = _NONE
-    return None if unknown and result == _ANY else result
+    """What the conjuncts mentioning `g` jointly admit for it at `env`
+    (see `_admission`)."""
+    return _admission(conjuncts, g)(env)[0]
+
+
+def _solving(around: list[Expr], g: str) -> Solving:
+    """The closure that solves for `g` from the equations `around`: what
+    they admit at a store (`_admission`), and the check of those of them
+    that `g`'s value must still meet, None for none.  An equation whose
+    exact inversion gave the value holds there and is not tested; one
+    that cannot tell is, also where another gave the value."""
+    admit, pending = _admission(around, g), {}
+
+    def run(store: Store) -> tuple[int | None, Check | None]:
+        v, told = admit(store)
+        if told not in pending:
+            untold = [(_compiled(c), True) for i, c in enumerate(around) if not told >> i & 1]
+            pending[told] = _checks(untold) if untold else None
+        return v, pending[told]
+
+    return run
 
 
 def first_store(holding: list[Expr], failing: list[Expr], bound: int) -> tuple[Store | None, int]:
@@ -421,23 +468,27 @@ def first_store(holding: list[Expr], failing: list[Expr], bound: int) -> tuple[S
     none of `failing` does, and its 1-based position in that order; (None,
     the number of stores) when no store qualifies.
 
-    The box is walked (`_walk`) in an elimination order.  A pinned
-    variable is solved for as soon as the other variables of an equation
-    that pins it are bound.  When none can be, a variable is enumerated:
-    one that no equation of `holding` pins if any is left, the one whose
-    binding completes the most formulas (fail first), then the first by
-    name.  Each formula is tested at the first step where all its
-    variables are bound, so a branch where a holding formula is false or
-    fails to evaluate, or a failing formula holds, is cut there; no store
-    cut or skipped qualifies.  The enumerated variables go through the
-    `stores` order, so each of their stores is walked once, smallest
-    maximum first, until that maximum passes the qualifying store with
-    the smallest (maximum, values), which is kept: the store the plain
-    scan stops at.  Its position is counted, not scanned for."""
+    The box is walked (`_walk`) in an elimination order, whose steps are
+    compiled once per call: each step's checks into one closure over the
+    formulas' closures, and each solved step's equations into one closure
+    over their inversions.  A pinned variable is solved for as soon as
+    the other variables of an equation that pins it are bound.  When none
+    can be, a variable is enumerated: one that no equation of `holding`
+    pins if any is left, the one whose binding completes the most
+    formulas (fail first), then the first by name.  Each formula is
+    tested at the first step where all its variables are bound, so a
+    branch where a holding formula is false or fails to evaluate, or a
+    failing formula holds, is cut there; no store cut or skipped
+    qualifies.  (An equation that gave a solved variable's value by exact
+    inversion holds by construction and is not tested.)  The enumerated variables go through the `stores`
+    order, so each of their stores is walked once, smallest maximum
+    first, until that maximum passes the qualifying store with the
+    smallest (maximum, values), which is kept: the store the plain scan
+    stops at.  Its position is counted, not scanned for."""
     steps, closed = _elimination(holding, failing)
     names = sorted(step[0] for step in steps)
     best: tuple[int, tuple[int, ...]] | None = None  # (maximum, values in names order)
-    if all(holds(f, {}) is want for f, want in closed):
+    if closed({}):
         for m in range(bound + 1):
             if best is not None and m > best[0]:
                 break  # every store from here on has a larger maximum
@@ -451,34 +502,39 @@ def first_store(holding: list[Expr], failing: list[Expr], bound: int) -> tuple[S
     return dict(zip(names, best[1])), _position(*best)
 
 
-def _elimination(holding: list[Expr], failing: list[Expr]) -> tuple[list[Step], list]:
-    """`first_store`'s steps over the free variables of the formulas, and
-    the checks of the formulas without variables."""
-    free = [free_vars(f) for f in holding + failing]
+def _elimination(holding: list[Expr], failing: list[Expr]) -> tuple[list[Step], Check]:
+    """`first_store`'s steps over the free variables of the formulas,
+    compiled, and the check of the formulas without variables."""
+    wanted = [(f, True) for f in holding] + [(f, False) for f in failing]
+    free = [free_vars(f) for f, _ in wanted]
+    tests = [(_compiled(f), want) for f, want in wanted]
     names = sorted(frozenset().union(*free))
-    checks = list(zip([(f, True) for f in holding] + [(f, False) for f in failing], free))
-    equations = list(zip(holding, free))  # each with its variables
-    pinned = [g for g in names if any(_pins(c, g) for c in holding)]
+    # Each equation's variables that it can be solved for, to whether exactly (pinned).
+    solvable = [{g: _plan(c, g)[2] for g in vs if _plan(c, g)[1]} for c, vs in zip(holding, free)]
+    pinned = [g for g in names if any(s.get(g) for s in solvable)]
     done: set[str] = set()
     steps = []
 
     def rank(g: str) -> tuple[bool, int]:  # unpinned first, then the most formulas completed
-        return g not in pinned, sum(g in vs and vs - {g} <= done for _, vs in checks)
+        return g not in pinned, sum(g in vs and vs - {g} <= done for vs in free)
 
     while len(done) < len(names):
-        g = next((g for g in pinned if g not in done and any(_pins(c, g) and vs - {g} <= done for c, vs in equations)), None)
-        around = None if g is None else [c for c, vs in equations if _plan(c, g)[1] and vs - {g} <= done]
+        ready = [(i, s) for i, s in enumerate(solvable) if len(free[i] - done) == 1]
+        g = next((g for g in pinned if g not in done and any(s.get(g) for _, s in ready)), None)
+        around = None if g is None else [i for i, s in ready if g in s]
         g = g or max((g for g in names if g not in done), key=rank)
         done.add(g)
-        steps.append((g, around, [check for check, vs in checks if g in vs and vs <= done]))
+        steps.append((g, around, [i for i, vs in enumerate(free) if g in vs and vs <= done]))
     last = max((d for d, step in enumerate(steps) if step[1] is None), default=None)
-    return [(*step, d == last) for d, step in enumerate(steps)], [check for check, vs in checks if not vs]
 
+    def check(tested: list[int]) -> Check | None:
+        return _checks([tests[i] for i in tested]) if tested else None
 
-def _pins(c: Expr, g: str) -> bool:
-    """Whether `c` is an equation that `_solve_for` solves exactly for `g`."""
-    inversion = _plan(c, g)[1]
-    return inversion is not None and inversion[2]
+    return [
+        (g, None, check(tested), d == last) if around is None
+        else (g, _solving([holding[i] for i in around], g), check([i for i in tested if i not in around]), False)
+        for d, (g, around, tested) in enumerate(steps)
+    ], _checks([tests[i] for i, vs in enumerate(free) if not vs])
 
 
 def _position(top: int, values: tuple[int, ...]) -> int:

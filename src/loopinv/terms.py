@@ -162,12 +162,17 @@ def substitute(e: Expr, theta: Subst) -> Expr:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    out: frozenset[str] = frozenset()
-    for a in view(e)[1]:
-        out |= free_vars(a)
-    return out
+    """The variables of `e`: worked out on first use and kept in the
+    node's instance dict, which dataclass ``==``, ``hash`` and ``repr``
+    ignore (as the evaluator keeps a node's closure)."""
+    names = e.__dict__.get("_free")
+    if names is None:
+        if isinstance(e, Var):
+            names = frozenset((e.name,))
+        else:
+            names = frozenset().union(*map(free_vars, view(e)[1]))
+        object.__setattr__(e, "_free", names)  # frozen fields, writable instance dict
+    return names
 
 
 def renaming_of(e1: Expr, e2: Expr, renameable: frozenset[str] | set[str]) -> dict[str, str] | None:

@@ -676,6 +676,14 @@ def boxes(draw):
 @example((["k", "y", "z"], [e("y * z = k"), e("z > 1")], [e("k < 4")], 5))  # pinned by a later name
 @example((["x", "y", "z"], [e("x = z"), e("y + z >= 1")], [], 3))  # walked out of name order
 @example((["a", "b", "c"], [e("a = 3 - b * 3"), e("c = b % 2 * 3"), e("b < 2")], [], 3))  # a later store wins
+@example((["x", "y"], [e("x * y = 0")], [e("x + y < 3")], 4))  # a zero multiplier: every y where x = 0
+@example((["x", "y"], [e("x * y = 3")], [], 4))  # a zero multiplier with 3 to reach: no y
+@example((["x", "y"], [e("y * 2 = x")], [e("x < 3")], 4))  # an odd x leaves no y
+@example((["x", "y"], [e("x - y = 1")], [e("y < 2")], 4))  # stops at -: nothing is solved
+@example((["x", "y"], [e("y = x * x"), e("(y - 1) * 2 = x * x")], [], 4))  # stops at -: tested
+@example((["x", "y"], [e("y = x * x"), e("y + 2 / x = 2")], [], 3))  # 2 / 0 cannot tell: tested
+@example((["x", "y"], [e("y + x = x ^ 5000")], [e("x < 2")], 3))  # the other side overflows
+@example((["y"], [e(f"y * 2 ^ {MAX_BITS - 1} = 2 ^ {MAX_BITS - 1} + 2 ^ {MAX_BITS - 1}")], [], 3))  # too wide
 def test_first_store_is_the_plain_scans(box):
     _, holding, failing, bound = box
     names = sorted(set().union(*(free_vars(f) for f in holding + failing)))
@@ -688,25 +696,33 @@ def test_first_store_without_formulas_takes_the_empty_store():
     assert first_store([], [], 3) == ({}, 1)
 
 
-def test_a_solved_variable_takes_one_value_per_store_of_the_others(monkeypatch):
+def counted(formulas, tested):
+    """`formulas`, each with a closure planted where it keeps its compiled
+    one that records every store it is tested at in `tested`."""
+    for f in formulas:
+        run = evaluator._compiled(f)
+        object.__setattr__(f, "_closure", lambda s, run=run: tested.append(dict(s)) or run(s))
+    return formulas
+
+
+def test_a_solved_variable_takes_one_value_per_store_of_the_others():
     # y = x + k pins y to x + k once k and x are bound, and the failing
     # formula mentions all three, so nothing is tested before: of the 5 * 5
     # stores of k and x, 15 give y a value ≤ 4, and the others none, so no
     # store qualifies after testing 15 stores of the 125.
     tested = []
-    monkeypatch.setattr(evaluator, "holds", lambda c, s: tested.append(dict(s)) or holds(c, s))
-    assert first_store([e("y = x + k")], [e("x + k <= y")], 4) == (None, 125)
+    holding, failing = counted([e("y = x + k")], tested), counted([e("x + k <= y")], tested)
+    assert first_store(holding, failing, 4) == (None, 125)
     assert len({tuple(s.values()) for s in tested}) == 15
     assert all(len(s) == 3 for s in tested)
 
 
-def test_a_formula_is_tested_once_its_variables_are_bound(monkeypatch):
+def test_a_formula_is_tested_once_its_variables_are_bound():
     # An R5 refutation from a square-multiply trace: no x satisfies the
     # three relations over x alone, so x is bound first and every branch
     # is cut there, before k, n or y takes a value.
     tested = []
-    monkeypatch.setattr(evaluator, "holds", lambda c, s: tested.append(dict(s)) or holds(c, s))
-    conjuncts = [e("x > 0"), e("~(x % 2 = 1)"), e("x / 2 <= 0"), e("y = k ^ n")]
+    conjuncts = counted([e("x > 0"), e("~(x % 2 = 1)"), e("x / 2 <= 0"), e("y = k ^ n")], tested)
     assert first_store(conjuncts, [], 8) == (None, 9**4)
     assert {tuple(s) for s in tested} == {("x",)}
 

@@ -27,11 +27,13 @@ from loopinv.terms import (
     free_vars,
     global_vars,
     program_vars,
+    rebuild,
     renaming_of,
     scopes,
     sort_of,
     substatements,
     substitute,
+    view,
 )
 
 
@@ -219,6 +221,35 @@ def exprs(depth=3):
 @given(exprs())
 def test_substitute_identity(e):
     assert substitute(e, {n: Var(n) for n in free_vars(e)}) == e
+
+
+def _ref_free_vars(e):
+    return {e.name} if isinstance(e, Var) else set().union(*map(_ref_free_vars, view(e)[1]))
+
+
+def _fresh(e):
+    """A copy of `e` built anew, node by node."""
+    match e:
+        case Var(name):
+            return Var(name)
+        case Num(value):
+            return Num(value)
+    return rebuild(e, tuple(map(_fresh, view(e)[1])))
+
+
+@given(exprs(), st.dictionaries(_names, exprs(1), max_size=2))
+def test_free_vars_are_kept_on_the_node(e, theta):
+    twin = _fresh(e)
+    names = free_vars(e)
+    assert names == _ref_free_vars(e) and free_vars(e) is names
+    assert "_free" in vars(e) and "_free" not in vars(twin)
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+    # Nodes built from kept ones carry no set of their own yet.
+    out = substitute(e, theta)
+    assert free_vars(out) == _ref_free_vars(out)
+    if isinstance(e, Op):
+        first = Var("w")
+        assert free_vars(rebuild(e, (first, *e.args[1:]))) == {"w"} | _ref_free_vars(e.args[1])
 
 
 @given(exprs())
