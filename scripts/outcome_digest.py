@@ -23,11 +23,13 @@ With ``--jsonl FILE`` it also writes one JSON line per run to FILE: the
 workload, seed, program id, budget, exit code, the sha256 of the JSON
 output, and each ``solve`` call's outcome with its whole ``SolveStats``.
 ``tests/golden/outcomes/`` holds these lines for seeds 1 2 and budgets
-1 10000 200000; ``tests/test_outcome_golden.py`` regenerates them and
-names every run that moved.  A change that moves outcomes on purpose
-rewrites them with
+1 10000 200000, and, in ``search-deep-cuts.jsonl``, search-deep's for
+budgets 300 53700 54150 54152; ``tests/test_outcome_golden.py``
+regenerates them and names every run that moved.  A change that moves
+outcomes on purpose rewrites them with
 
     python3 scripts/outcome_digest.py W --seeds 1 2 --budgets 1 10000 200000 --jsonl tests/golden/outcomes/W.jsonl
+    python3 scripts/outcome_digest.py search-deep --seeds 1 2 --budgets 300 53700 54150 54152 --jsonl tests/golden/outcomes/search-deep-cuts.jsonl
 
 for each workload W.  Nothing under ``perfbench/`` is changed.
 """

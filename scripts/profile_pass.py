@@ -15,7 +15,13 @@ pools built (constructions of ``solver._Pool``), the full checks of step
 candidates (calls of ``_Search._preserves``), the full checks of
 initials (calls of ``solver._entry_counterexample``: the search's, plus
 one per conjunct without generalisation variables and one per re-check
-by ``check_requirements``) and the bounded box checks
+by ``check_requirements``), the rows summarised and the candidates
+judged by value at the front (calls of ``solver._Level.summary`` and
+``solver._Front.judge``), the conditional stages entered (steps first
+asked of ``_Search._conditional_steps``) and their prefilter's full
+checks (calls of ``solver._step_counterexample`` on one-transition runs
+while ``solver._Kept`` sifts the branch templates of a size), and the
+bounded box checks
 (calls of ``evaluator.first_store`` by ``verify``, requirement 3 and R5,
 the formulas they tested and the variables they solved for, as calls of
 the formulas' closures in the checks that ``evaluator._checks`` compiles
@@ -26,8 +32,9 @@ cProfile and prints the 25 functions that rank highest by ``--sort``
 (any ``pstats`` key; default ``tottime``).  The counting pass runs
 without the profiler and the profiled pass without the counters, so
 neither distorts the other.  It exits 1 when box checks ran but no
-formula was counted, so that a counter that no longer sees the tests
-does not go unnoticed.  Nothing under ``perfbench/`` is changed.
+formula was counted, or conditional stages ran but no prefilter check
+was counted, so that a counter that no longer sees the tests does not
+go unnoticed.  Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import cProfile
 import io
 import pstats
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,85 +66,77 @@ def run_pass(programs: list[workloads.Program]) -> None:
             sys.stdin = saved
 
 
-def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
+def count_work(programs: list[workloads.Program]) -> Counter[str]:
     """The Op nodes built and compiled, the statements run, the template
-    pools built, the full checks of step candidates and of initials, and
-    the box checks with the formulas they tested, the variables they
-    solved for and the stores a plain scan would have visited, during one
-    pass."""
-    built = compiled = executed = pools = checked = initials = boxes = tested = solved = scanned = 0
+    pools built, the full checks of step candidates and of initials, the
+    rows summarised and the candidates judged at the front, the
+    conditional stages entered and their prefilter's full checks, and the
+    box checks with the formulas they tested, the variables they solved
+    for and the stores a plain scan would have visited, during one pass."""
+    counts: Counter[str] = Counter()
     post_init, compile_, preserves = Op.__post_init__, evaluator._compiled, solver._Search._preserves
-    entry_counterexample = solver._entry_counterexample
+    entry_counterexample, step_counterexample = solver._entry_counterexample, solver._step_counterexample
     exec_stmt, pool_init = solver.exec_stmt, solver._Pool.__init__
+    summary, judge = solver._Level.summary, solver._Front.judge
+    conditional_steps, sift = solver._Search._conditional_steps, solver._Kept.__call__
     first_store, checks, admission = evaluator.first_store, evaluator._checks, evaluator._admission
     callers = (cli, simplifier, solver)  # each calls first_store by its own name
+    sifting: list[int] = []
+
+    def counting(key: str, f):
+        def run(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+
+        return run
 
     def counting_post_init(node: Op) -> None:
-        nonlocal built
-        built += 1
+        counts["built"] += 1
         post_init(node)
 
     def counting_compile(e):
-        nonlocal compiled
-        compiled += type(e) is Op and "_closure" not in vars(e)
+        counts["compiled"] += type(e) is Op and "_closure" not in vars(e)
         return compile_(e)
 
-    def counting_exec_stmt(*args, **kwargs):
-        nonlocal executed
-        executed += 1
-        return exec_stmt(*args, **kwargs)
+    def counting_conditional_steps(*args):
+        counts["stages"] += 1  # a generator: counted when first asked for a step
+        yield from conditional_steps(*args)
 
-    def counting_pool_init(*args):
-        nonlocal pools
-        pools += 1
-        pool_init(*args)
+    def counting_sift(kept, n):
+        sifting.append(n)
+        try:
+            return sift(kept, n)
+        finally:
+            sifting.pop()
 
-    def counting_preserves(*args):
-        nonlocal checked
-        checked += 1
-        return preserves(*args)
-
-    def counting_entry_counterexample(*args):
-        nonlocal initials
-        initials += 1
-        return entry_counterexample(*args)
+    def counting_step_counterexample(*args):
+        counts["prefiltered"] += bool(sifting)
+        return step_counterexample(*args)
 
     def counting_first_store(*args):
-        nonlocal boxes, scanned
-        boxes += 1
+        counts["boxes"] += 1
         evaluator._checks, evaluator._admission = counting_checks, counting_admission
         try:
             store, position = first_store(*args)
         finally:
             evaluator._checks, evaluator._admission = checks, admission
-        scanned += position
+        counts["scanned"] += position
         return store, position
 
     def counting_checks(tests):
-        def counted(test):
-            def run(store):
-                nonlocal tested
-                tested += 1
-                return test(store)
-
-            return run
-
-        return checks([(counted(test), want) for test, want in tests])
+        return checks([(counting("tested", test), want) for test, want in tests])
 
     def counting_admission(*args):
-        admit = admission(*args)
-
-        def run(store):
-            nonlocal solved
-            solved += 1
-            return admit(store)
-
-        return run
+        return counting("solved", admission(*args))
 
     Op.__post_init__, evaluator._compiled = counting_post_init, counting_compile
-    solver._Search._preserves = counting_preserves
-    solver._entry_counterexample = counting_entry_counterexample
-    solver.exec_stmt, solver._Pool.__init__ = counting_exec_stmt, counting_pool_init
+    solver._Search._preserves = counting("checked", preserves)
+    solver._entry_counterexample = counting("initials", entry_counterexample)
+    solver._step_counterexample = counting_step_counterexample
+    solver.exec_stmt = counting("executed", exec_stmt)
+    solver._Pool.__init__ = counting("pools", pool_init)
+    solver._Level.summary, solver._Front.judge = counting("summaries", summary), counting("judged", judge)
+    solver._Search._conditional_steps, solver._Kept.__call__ = counting_conditional_steps, counting_sift
     for module in callers:
         module.first_store = counting_first_store
     try:
@@ -144,11 +144,13 @@ def count_work(programs: list[workloads.Program]) -> tuple[int, ...]:
     finally:
         Op.__post_init__, evaluator._compiled = post_init, compile_
         solver._Search._preserves = preserves
-        solver._entry_counterexample = entry_counterexample
+        solver._entry_counterexample, solver._step_counterexample = entry_counterexample, step_counterexample
         solver.exec_stmt, solver._Pool.__init__ = exec_stmt, pool_init
+        solver._Level.summary, solver._Front.judge = summary, judge
+        solver._Search._conditional_steps, solver._Kept.__call__ = conditional_steps, sift
         for module in callers:
             module.first_store = first_store
-    return built, compiled, executed, pools, checked, initials, boxes, tested, solved, scanned
+    return counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,18 +161,26 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     programs = workloads.generate(args.workload, args.seed)
-    built, compiled, executed, pools, checked, initials, boxes, tested, solved, scanned = count_work(programs)
+    c = count_work(programs)
     print(f"{args.workload} seed {args.seed}: {len(programs)} programs")
     print(
-        f"Op nodes built {built:,}, compiled {compiled:,}; exec_stmt calls {executed:,}; "
-        f"template pools built {pools:,}; full checks of steps {checked:,}, of initials {initials:,}"
+        f"Op nodes built {c['built']:,}, compiled {c['compiled']:,}; exec_stmt calls {c['executed']:,}; "
+        f"template pools built {c['pools']:,}; full checks of steps {c['checked']:,}, "
+        f"of initials {c['initials']:,}"
     )
     print(
-        f"box checks (first_store) {boxes:,}: {tested:,} formulas tested, {solved:,} solves, "
-        f"{scanned:,} stores for a plain scan"
+        f"front: rows summarised {c['summaries']:,}, candidates judged {c['judged']:,}; "
+        f"conditional stages {c['stages']:,}, prefilter full checks {c['prefiltered']:,}"
     )
-    if boxes and not tested:
+    print(
+        f"box checks (first_store) {c['boxes']:,}: {c['tested']:,} formulas tested, "
+        f"{c['solved']:,} solves, {c['scanned']:,} stores for a plain scan"
+    )
+    if c["boxes"] and not c["tested"]:
         print("error: box checks ran but no formula was counted", file=sys.stderr)
+        return 1
+    if c["stages"] and not c["prefiltered"]:
+        print("error: conditional stages ran but no prefilter check was counted", file=sys.stderr)
         return 1
     profile = cProfile.Profile()
     profile.runcall(run_pass, programs)

@@ -73,8 +73,12 @@ are then searched jointly across all variables.  When the loop body
 branches at the top level, step candidates additionally include
 conditional expressions choosing between two templates by the branch
 condition.  Their branch templates are prefiltered per template size,
-when the scan of the pairs first reaches that size, and each viability
-test counts against ``max_candidates`` like a candidate.  The assembled
+when the scan of the pairs first reaches that size, on the first
+transitions that take the branch: judged at the front of those
+transitions as a step is judged along its runs, and checked in full
+when the front leaves them.  Each counts against ``max_candidates`` like
+a candidate.  A run whose branch condition fails to evaluate at its
+entry takes neither branch.  The assembled
 assignment is re-verified by ``check_requirements``, and that verdict
 is what gets reported.  Each requirement has one check, returning the
 first failing store or None, which the search calls per component and
@@ -119,10 +123,11 @@ stops at are those of the full check alone.  A candidate that passes
 every judged item goes on to the full check, which may put another item
 in front.  The full checks hold one closure for the conjuncts and one
 for the candidate (``evaluator.conjunction`` and ``valuation``).  The
-finals and the conditional steps are scanned without a front: the
-finals check starts at the smallest stores, where a final is usually
-refuted.  The initials are evaluated once per run for each initial that
-holds, not once per step candidate.
+finals are scanned without a front: their check starts at the smallest
+stores, where a final is usually refuted.  So are the pairs of branch
+templates, each of which has passed its first transitions.  The
+initials are evaluated once per run for each initial that holds, not
+once per step candidate.
 ``check_requirements`` passes fresh lists in the order the runs were
 collected, smallest input first, so it reports the first counterexample
 in that order.
@@ -396,16 +401,15 @@ class _Pool:
 
 
 class _Kept(_Pool):
-    """The templates of `pool` that `keep` holds for, by size: a size is
-    tested in full when it is first asked for, and is then the one row
-    `(None, n, 0, n)`."""
+    """The templates that `sift(n)` keeps of size n: a size is sifted when
+    it is first asked for, and is then the one row `(None, n, 0, n)`."""
 
-    def __init__(self, pool: _Pool, keep: Callable[[Expr], bool]):
-        self.pool, self.keep, self.lists = pool, keep, {}
+    def __init__(self, sift: Callable[[int], list[Expr]]):
+        self.sift, self.lists = sift, {}
 
     def __call__(self, n: int) -> list[Expr]:
         if n not in self.lists:
-            self.lists[n] = [t for t in self.pool(n) if self.keep(t)]
+            self.lists[n] = self.sift(n)
         return self.lists[n]
 
     def rows(self, n: int) -> Iterator[Row]:
@@ -720,7 +724,7 @@ class _Level:
     def summary(self, genvars: tuple[str, ...], heads: list[Expr], row: Row) -> _Summary:
         """The row after `heads`, judged at this store once per value of
         the heads and of the row's left template."""
-        head = tuple(_value(h, self.values.env) for h in heads)
+        head = tuple(_value(h, self.values.env) for h in heads) if heads else ()
         op, ls, i, rs = row
         lv = self.values[ls][i]
         key = (head, op, lv, rs)
@@ -805,7 +809,8 @@ class _Front:
             if k and (level := self.fronts.get(id(item))) is None:
                 return None
             while True:
-                key = (*[_value(h, level.values.env) for h in heads], level.values.at(row, j))
+                value = level.values.at(row, j)
+                key = (*[_value(h, level.values.env) for h in heads], value) if heads else (value,)
                 got = level.outcome(self.genvars, key)
                 if not isinstance(got, _Level):
                     break
@@ -871,31 +876,35 @@ class _Search:
             raise _Budget()
 
     def _survivors(
-        self, pools: list[_Pool], front: _Front | None = None, max_size: int | None = None
+        self, pools: list[_Pool], front: _Front | None = None, sizes: Sequence[int] = _SIZES
     ) -> Iterator[tuple[Expr, ...]]:
-        """Joint candidates, one template per pool, by total size, then
-        sizes left to right, then lexicographically: those that `front`, if
-        any, leaves to the full check, the last pool scanned by rows.  Each
-        spends a unit of budget.  The refuted ones up to the next survivor
-        are counted in bulk, before it is yielded or `_Budget` raised at
-        the candidate where the budget runs out."""
+        """Joint candidates, one template of one of `sizes` per pool, by
+        total size, then sizes left to right, then lexicographically: those
+        that `front`, if any, leaves to the full check, the last pool
+        scanned by rows.  Each spends a unit of budget.  The refuted ones up
+        to the next survivor are counted in bulk, before it is yielded or
+        `_Budget` raised at the candidate where the budget runs out.  A
+        row's summary at the front item is kept for its survivors until
+        the full check or the front puts another item there."""
         stats, last = self.stats, pools[-1]
-        sizes = [s for s in _SIZES if max_size is None or s <= max_size]
         # A stable sort keeps the sizes of one total in lexicographic order.
         for *combo, n in sorted(itertools.product(sizes, repeat=len(pools)), key=sum):
             for heads in _heads(pools[:-1], combo):
                 for row in last.rows(n):
                     j, end = 0, len(last.lists[row[3]])
+                    level = summary = None
                     while j < end:
                         # The full check may have moved another item to the front.
-                        level = front and front.current()
-                        summary = level and level.summary(front.genvars, heads, row)
+                        current = front and front.current()
+                        if current is not level:
+                            level, summary = current, current and current.summary(front.genvars, heads, row)
                         room = self.cfg.max_candidates - stats.candidates_tried
                         stop = min(summary.next(j, end) if summary else j, j + room)
-                        rejected, tested = summary.counts(j, stop) if summary else (0, 0)
-                        stats.candidates_tried += stop - j
-                        stats.eval_rejections += rejected
-                        stats.stores_tested += tested
+                        if stop > j:
+                            rejected, tested = summary.counts(j, stop)
+                            stats.candidates_tried += stop - j
+                            stats.eval_rejections += rejected
+                            stats.stores_tested += tested
                         if stop == end:
                             break
                         self._spend()  # a survivor, or the candidate at which the budget runs out
@@ -950,7 +959,8 @@ class _Search:
         front = _Front(comp.genvars, starts, prepare)
         # With a branching body, cap unconditional templates so the
         # conditional stage is reachable within the budget.
-        steps: Iterable[tuple[Expr, ...]] = self._survivors(pools, front, 5 if conditional else None)
+        sizes = (1, 3, 5) if conditional else _SIZES
+        steps: Iterable[tuple[Expr, ...]] = self._survivors(pools, front, sizes)
         if conditional:
             steps = itertools.chain(steps, self._conditional_steps(comp, starts, pools[0]))
         candidates = (dict(zip(comp.genvars, t)) for t in steps)
@@ -962,21 +972,30 @@ class _Search:
         """Steps choosing between a template for each branch by the branch
         condition.  A template is kept for a branch when it preserves the
         invariant on the first transitions that take that branch, where the
-        generalisation variable's value is fixed by the initial; each such
-        test spends a unit of budget."""
+        generalisation variable's value is fixed by the initial.  A branch's
+        templates of one size are scanned as the steps are, judged at a
+        front of those transitions and then checked in full, each spending
+        a unit of budget.  A run whose condition fails to evaluate at its
+        entry takes neither branch; the full check of a step still walks
+        it."""
         (g,), cond = comp.genvars, self.branch_cond
         assert cond is not None
         # Split when first asked: the unconditional scan has reordered `starts`.
         firsts: dict[bool, list[Start]] = {True: [], False: []}
         for run, gvals in starts:
-            if run.transitions:
-                firsts[bool(eval_expr(cond, run.entry))].append((LoopRun(run.states[:2]), gvals))
+            taken = _value(cond, run.entry)
+            if run.transitions and taken is not None:
+                firsts[bool(taken)].append((LoopRun(run.states[:2]), gvals))
+        prepare = functools.partial(_front_run, comp.conjuncts, conjunction(comp.conjuncts), pool)
 
-        def viable(want: bool, expr: Expr) -> bool:
-            self._spend()
-            return _step_counterexample(comp.conjuncts, {g: expr}, firsts[want], self.stats)[0] is None
+        def sift(front: _Front, n: int) -> list[Expr]:
+            return [
+                t for (t,) in self._survivors([pool], front, (n,))
+                if _step_counterexample(comp.conjuncts, {g: t}, front.items, self.stats)[0] is None
+            ]
 
-        branches = [_Kept(pool, functools.partial(viable, want)) for want in (True, False)]
+        fronts = [_Front(comp.genvars, firsts[want], prepare) for want in (True, False)]
+        branches = [_Kept(functools.partial(sift, front)) for front in fronts]
         for then, other in self._survivors(branches):
             yield (Case(cond, then, other),)
 

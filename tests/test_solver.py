@@ -1,5 +1,6 @@
 """Bounded-testing witness search for generalisation variables."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -167,12 +168,16 @@ def test_templates_ordered_by_size_then_structure():
     assert size7[len(size3) ** 2] == Op("-", (size3[0], size3[0]))
 
 
+def capped(max_size):
+    return tuple(s for s in (1, 3, 5, 7) if max_size is None or s <= max_size)
+
+
 def scan(pools, max_size=None):
     """The witness search's candidate scan over `pools` with no front:
-    every joint candidate, in order."""
+    every joint candidate of size at most `max_size`, in order."""
     t = parse_program("{0 = 0} WHILE x < 1 DO x := x + 1 {0 = 0}")
     search = solver._Search(t, t.program, e("x = g"), ("g",), SolverConfig(), SolveStats(), [])
-    return search._survivors(pools, None, max_size)
+    return search._survivors(pools, None, capped(max_size))
 
 
 def test_tuples_draw_templates_lazily():
@@ -201,8 +206,7 @@ def test_tuples_draw_templates_lazily():
 
 def reference_tuples(pools, max_size=None):
     """Every tuple of each size combination, materialised."""
-    sizes = [s for s in (1, 3, 5, 7) if max_size is None or s <= max_size]
-    combos = sorted(itertools.product(sizes, repeat=len(pools)), key=sum)
+    combos = sorted(itertools.product(capped(max_size), repeat=len(pools)), key=sum)
     for combo in combos:
         yield from itertools.product(*(list(pool(s)) for pool, s in zip(pools, combo)))
 
@@ -764,11 +768,15 @@ def judging_nothing(mp):
     mp.setattr(solver._Front, "current", lambda front: None)
 
 
-def assert_front_changes_nothing(source, cfg):
+def assert_front_changes_nothing(source, cfg, putative=None):
     # Judging candidates at the front store first changes no outcome and
-    # no count: the full check alone must give the same ones.
+    # no count: the full check alone must give the same ones.  With a
+    # `putative` invariant over g, the program's first loop is solved for
+    # it instead of for the invariants discovery derives.
     annotated, found = annotate_program(parse_program(source))
     loops = [d for d in found if d.putative is not None]
+    if putative is not None:
+        loops = [dataclasses.replace(found[0], putative=putative, genvars=("g",))]
     got = [solve_outcome(annotated, d, cfg) for d in loops]
     with pytest.MonkeyPatch.context() as mp:
         judging_nothing(mp)
@@ -835,21 +843,23 @@ def row_size(row):
 
 
 def scanning(monkeypatch):
-    """Record each read of a row at the front store: [row, first position,
-    next survivor, the position the scan stopped at]."""
-    scans = []
+    """Record each read of a row's summary at the front store: [row, first
+    position, next survivor, the position the scan stopped at], where the
+    row is that of the latest summary.  A read whose scan stops where it
+    starts counts nothing."""
+    scans, latest = [], []
     summary, next_, counts = solver._Level.summary, solver._Summary.next, solver._Summary.counts
 
     def summarising(level, genvars, heads, row):
-        scans.append([row])
+        latest[:] = [row]
         return summary(level, genvars, heads, row)
 
     def surviving(rows, j, end):
-        scans[-1] += [j, next_(rows, j, end)]
-        return scans[-1][-1]
+        scans.append([*latest, j, next_(rows, j, end), j])
+        return scans[-1][2]
 
     def counting(rows, a, b):
-        scans[-1].append(b)
+        scans[-1][3] = b
         return counts(rows, a, b)
 
     monkeypatch.setattr(solver._Level, "summary", summarising)
@@ -1217,6 +1227,103 @@ def test_the_budget_runs_out_inside_the_conditional_stage_and_finals(
     assert err.value.stats == SolveStats(
         candidates_tried=budget + 1, stores_tested=stores_tested, runs_collected=6
     )
+
+
+def branching_loop(c, branches, branch_first):
+    """A loop counting x up to n whose branch on x's parity updates y, at
+    the head of the body or after the count."""
+    then, other = branches
+    branch = f"IF x % 2 = 1 THEN y := {then} ELSE y := {other}"
+    body = f"{branch}; x := x + 1" if branch_first else f"x := x + 1; {branch}"
+    return f"{{n >= 0}} x := 0; y := {c}; WHILE x < n DO BEGIN {body} END {{0 = 0}}"
+
+
+branching_loops = st.builds(
+    branching_loop,
+    st.integers(0, 2),
+    st.sampled_from([("y * 2", "y"), ("y + 1", "y"), ("y * 2", "y + 1"), ("y + 2", "y * y"), ("y", "y + k")]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(branching_loops, st.integers(1, 8_000))
+def test_the_front_check_changes_no_outcome_on_branching_loops(source, budget):
+    # Solving y = g, the unconditional steps run out near candidate 2,850
+    # (4,234 with k), and a drawn budget runs out anywhere from the
+    # initials to the conditional stage's prefilter and its pairs.
+    cfg = SolverConfig(domain_bound=3, max_candidates=budget, operator_pool=("+", "*"))
+    assert_front_changes_nothing(source, cfg, putative=e("y = g"))
+
+
+def test_branch_templates_refuted_at_the_front_are_never_built(monkeypatch, programs):
+    # Square-multiply's conditional stage prefilters the 9 atoms for each
+    # branch and the 486 templates of size 3 for the then branch on the
+    # first transitions; only the few that reach the full check there
+    # become nodes.
+    sifting, built, checked = [], [], []
+    post_init, sift, counterexample = Op.__post_init__, solver._Kept.__call__, solver._step_counterexample
+
+    def building(node):
+        post_init(node)
+        if sifting:
+            built.append(node)
+
+    def sifted(kept, n):
+        sifting.append(n)
+        try:
+            return sift(kept, n)
+        finally:
+            sifting.pop()
+
+    def checking(conjuncts, step, starts, stats):
+        if sifting:
+            checked.append(step)
+        return counterexample(conjuncts, step, starts, stats)
+
+    monkeypatch.setattr(Op, "__post_init__", building)
+    monkeypatch.setattr(solver._Kept, "__call__", sifted)
+    monkeypatch.setattr(solver, "_step_counterexample", checking)
+    annotated, (d,) = annotate_program(parse_program((programs / "exp_binary_pos.imp").read_text(encoding="utf-8")))
+    report = solve(annotated, d.node, d.putative, d.genvars, d.post)
+    assert isinstance(report.assignment.step[d.genvars[-1]], Case)
+    assert report.verdict == VerifiedUpToBound(6)
+    assert 0 < len(built) <= len(checked) < 20
+    built.clear()
+    checked.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        judging_nothing(mp)
+        assert solve(annotated, d.node, d.putative, d.genvars, d.post).stats == report.stats
+    assert len(checked) == 9 + 9 + 486  # the full check alone tries them all
+
+
+# The branch follows x := x + 1, so its condition divides by x = 0 at the
+# loop head, where the conditional stage splits the runs by it.
+DIVIDING_BRANCH = (
+    "{n >= 1} x := 0; y := 0; WHILE x < n DO BEGIN x := x + 1; "
+    "IF n / x = 1 THEN y := y + 1 ELSE y := y END {y = n - n / 2}"
+)
+
+
+def test_a_branch_condition_failing_at_the_loop_head_takes_neither_branch(monkeypatch):
+    # The coarsened invariant's g7 runs out of unconditional steps at
+    # candidate 28,692.  No run takes a branch, so every branch template
+    # is kept, and the first pairs fail the full check, where the Case
+    # fails to evaluate and the invariant pins g7; the budget runs out
+    # among them.
+    stages = []
+    conditional_steps = solver._Search._conditional_steps
+
+    def entering(search, *args):
+        stages.append(search.stats.candidates_tried)
+        yield from conditional_steps(search, *args)
+
+    monkeypatch.setattr(solver._Search, "_conditional_steps", entering)
+    cfg = SolverConfig(max_candidates=28_800)
+    [(requirement, detail, stats)] = assert_front_changes_nothing(DIVIDING_BRANCH, cfg)
+    assert requirement == 2 and "budget" in detail
+    assert stages == [28_692, 28_692]  # with the front and without
+    assert stats.eval_rejections == 7_487  # 49 pairs of atoms rejected by the full check
 
 
 # --- independent requirement checking ----------------------------------------------
