@@ -224,26 +224,20 @@ _COMPILERS: dict[type, tuple[Callable, Callable[..., Compiled]]] = {
 }
 
 
-def holds(e: Expr, store: Store) -> bool:
-    """Truth of a boolean expression; evaluation errors count as false."""
-    try:
-        v = eval_expr(e, store)
-    except EvalError:
-        return False
-    if not isinstance(v, bool):
-        raise ValueError(f"holds() needs a boolean expression, got value {v!r}")
-    return v
-
-
 Check = Callable[[Store], bool]
+
+
+def holds(e: Expr, store: Store) -> bool:
+    """Truth of a boolean expression, as `_checks` tells it for one formula."""
+    return _checks([(_compiled(e), True)])(store)
 
 
 def _checks(tests: list[tuple[Compiled, bool]]) -> Check:
     """Whether each formula, given as its compiled closure, has the wanted
-    truth at a store, as `holds` tells it (an evaluation error is false, a
-    non-boolean value raises ValueError), tested in order up to the first
-    that has not: one closure for a caller that tests the same formulas
-    at many stores."""
+    truth at a store, tested in order up to the first that has not: one
+    closure for a caller that tests the same formulas at many stores.  An
+    evaluation error counts as false, and a non-boolean value raises
+    ValueError."""
 
     def run(store: Store) -> bool:
         for test, want in tests:

@@ -3,9 +3,15 @@
 Input files have the shape ``{pre} statements {post}``.  Assertions and
 program expressions share one grammar.  Operator precedence, loosest to
 tightest: ⇒ (right-assoc), ∨, ∧, relations (non-chaining), + -, * / %,
-^, ¬.  All binary operators except ⇒ associate to the left.  ASCII
-spellings (/\\ \\/ ~ => <= >= !=) and the unicode equivalents are both
-accepted; keywords are case-insensitive; ``--`` starts a line comment.
+^, ¬.  All binary operators except ⇒ associate to the left.
+
+One regular expression splits the input into tokens.  Its symbols are
+the operators of the precedence table `_PREC`, in unicode, their ASCII
+spellings (/\\ \\/ ~ => <= >= !=) and the punctuation.  A numeral is a
+run of decimal digits, what `int` reads (one too long for it is a parse
+error); an identifier is a letter or ``_`` followed by letters, digits
+and ``_``, all lowercase; keywords are case-insensitive; ``--`` starts a
+line comment.  Any other character is a parse error.
 
 Loops may carry two optional braced assertions::
 
@@ -26,6 +32,7 @@ than an exhausted interpreter stack.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .terms import (
@@ -84,89 +91,47 @@ _PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6, "^": 7, "¬": 8})
 
 KEYWORDS = {"SKIP", "IF", "THEN", "ELSE", "WHILE", "DO", "BEGIN", "END", "VAR", "TRUE", "FALSE"}
 
-# Longest match first.
-_SYMBOLS = [
-    (":=", ("ASSIGN", ":=")),
-    ("=>", ("OP", "⇒")),
-    ("<=", ("OP", "≤")),
-    (">=", ("OP", "≥")),
-    ("!=", ("OP", "≠")),
-    ("/\\", ("OP", "∧")),
-    ("\\/", ("OP", "∨")),
-    ("⇒", ("OP", "⇒")),
-    ("≤", ("OP", "≤")),
-    ("≥", ("OP", "≥")),
-    ("≠", ("OP", "≠")),
-    ("∧", ("OP", "∧")),
-    ("∨", ("OP", "∨")),
-    ("¬", ("OP", "¬")),
-    ("~", ("OP", "¬")),
-    ("+", ("OP", "+")),
-    ("-", ("OP", "-")),
-    ("*", ("OP", "*")),
-    ("/", ("OP", "/")),
-    ("%", ("OP", "%")),
-    ("^", ("OP", "^")),
-    ("<", ("OP", "<")),
-    (">", ("OP", ">")),
-    ("=", ("OP", "=")),
-    ("{", ("LBRACE", "{")),
-    ("}", ("RBRACE", "}")),
-    ("(", ("LPAREN", "(")),
-    (")", ("RPAREN", ")")),
-    (";", ("SEMI", ";")),
-    (",", ("COMMA", ",")),
-]
+# Kind and value of every token that is neither a word nor a numeral, by
+# spelling: the operators of `_PREC`, their ASCII spellings, the punctuation.
+_ASCII = {"=>": "⇒", "<=": "≤", ">=": "≥", "!=": "≠", "/\\": "∧", "\\/": "∨", "~": "¬"}
+_PUNCTUATION = {":=": "ASSIGN", ";": "SEMI", ",": "COMMA"}
+_PUNCTUATION.update({"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN"})
+_SYMBOLS = {op: ("OP", op) for op in _PREC} | {s: ("OP", op) for s, op in _ASCII.items()}
+_SYMBOLS |= {s: (kind, s) for s, kind in _PUNCTUATION.items()}
+
+# One alternative per lexeme, tried in order: a comment before the minus
+# sign, a numeral (what `int` reads) before a word, and the longest symbol
+# first.  A word is `\w+`, so one that starts with neither a letter nor an
+# underscore, and any character no other alternative takes, is rejected.
+_LEXEME = re.compile(
+    r"(?P<NEWLINE>\n)|[ \t\r]+|--[^\n]*|(?P<NUM>\d+)|(?P<WORD>\w+)|(?P<SYMBOL>"
+    + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))
+    + ")|(?P<OTHER>.)",
+    re.DOTALL,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(Token("NUM", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token("KW", word.upper(), line, col))
-            elif word != word.lower():
-                raise ParseError(f"identifiers are lowercase, got {word!r}", line, col)
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "NUM":
+            tokens.append(Token("NUM", value, line, col))
+        elif kind == "WORD" and (value[0].isalpha() or value[0] == "_"):
+            if value.upper() in KEYWORDS:
+                tokens.append(Token("KW", value.upper(), line, col))
+            elif value != value.lower():
+                raise ParseError(f"identifiers are lowercase, got {value!r}", line, col)
             else:
-                tokens.append(Token("IDENT", word, line, col))
-            col += i - start
-            continue
-        for sym, (kind, value) in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(kind, value, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+                tokens.append(Token("IDENT", value, line, col))
+        elif kind == "SYMBOL":
+            tokens.append(Token(*_SYMBOLS[value], line, col))
+        elif kind is not None:
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -244,17 +209,18 @@ class _Parser:
     def _atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "NUM":
+            try:
+                value = int(tok.value)
+            except ValueError:  # longer than `sys.get_int_max_str_digits()`
+                raise self.fail(f"numeral of {len(tok.value)} digits is too long") from None
             self.advance()
-            return Num(int(tok.value))
+            return Num(value)
         if tok.kind == "IDENT":
             self.advance()
             return Var(tok.value)
-        if tok.kind == "KW" and tok.value == "TRUE":
+        if tok.kind == "KW" and tok.value in ("TRUE", "FALSE"):
             self.advance()
-            return TRUE
-        if tok.kind == "KW" and tok.value == "FALSE":
-            self.advance()
-            return FALSE
+            return TRUE if tok.value == "TRUE" else FALSE
         if self.accept("LPAREN"):
             e = self.nested(self.expression)
             self.expect("RPAREN")

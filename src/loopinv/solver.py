@@ -277,7 +277,8 @@ class LoopRun:
 
 def input_vars(triple: Triple) -> list[str]:
     """Variables whose initial value the program can observe: free in the
-    precondition or read before ever being written."""
+    precondition, read before ever being written, or read by the
+    postcondition after some path leaves them unwritten."""
     inputs: set[str] = set(free_vars(triple.pre))
 
     def walk(st: Stmt, written: set[str]) -> set[str]:
@@ -302,7 +303,7 @@ def input_vars(triple: Triple) -> list[str]:
             case _:
                 raise TypeError(f"not a Stmt: {st!r}")
 
-    walk(triple.program, set())
+    inputs.update(free_vars(triple.post) - walk(triple.program, set()))
     return sorted(inputs)
 
 

@@ -620,3 +620,45 @@ def test_bound_flag_reaches_verdict(capsys, monkeypatch):
     code, out, _ = run(capsys, "discover", "-", "--bound", "3")
     assert code == 0
     assert "verdict: verified up to bound 3" in out
+
+
+@pytest.mark.parametrize(
+    "rhs, error",
+    [
+        ("²", "1:13: unexpected character '²'"),
+        ("1²", "1:14: unexpected character '²'"),
+        ("1" * 5000, "1:13: numeral of 5000 digits is too long"),
+    ],
+    ids=["superscript", "digit-superscript", "5000-digits"],
+)
+def test_numerals_int_rejects_are_bad_input(capsys, monkeypatch, rhs, error):
+    # Each used to end in a ValueError traceback from `int` and exit 1, the
+    # code of a real counterexample.
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{{true}} x := {rhs} {{x = 2}}"))
+    assert run(capsys, "verify", "-") == (3, "", f"parse error: {error}\n")
+
+
+def test_a_variable_only_the_post_reads_is_an_input(capsys, monkeypatch):
+    # k was left at 0 in every run, so both triples were "verified up to
+    # bound 6" although k = 1 refutes them.
+    source = "{true} x := 0; WHILE x < 3 DO x := x + 1 {x = 3 /\\ k = 0}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code, out, _ = run(capsys, "discover", "-")
+    assert code == 2
+    assert "conjunct k=0 (no generalisation variables) fails on entry store {'k': 1, 'x': 0}" in out
+    source = "{n >= 0} x := 0; y := 0; WHILE x < n DO BEGIN x := x + 1; y := y + 2 END {y = 2 * n + k}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code, out, _ = run(capsys, "discover", "-")
+    assert code == 1
+    assert "  verdict: requirement 3 fails at k=1 n=0 x=0 y=0\n" in out
+
+
+def test_trace_json_reports_the_failure(capsys, programs):
+    code, out, _ = run(
+        capsys, "trace", str(programs / "exp_simple.imp"), "--max-iter", "2", "--format", "json"
+    )
+    assert code == 2
+    (loop,) = json.loads(out)["loops"]
+    assert loop["location"] == 5
+    assert loop["error"] == "IterationBudget: gave up after 2 iterations"
+    assert loop["trace"][-1]["kind"] == "Budget"

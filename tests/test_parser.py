@@ -86,6 +86,20 @@ def test_comments_ignored():
     assert prog.program == Skip()
 
 
+def test_numerals_are_decimal_digits_and_identifiers_start_with_a_letter():
+    # A numeral is what `int` reads, in any script's decimal digits; a digit
+    # that is not decimal starts no token (see tests/test_cli.py).
+    assert p("x + ٣") == Op("+", (Var("x"), Num(3)))
+    # An identifier continues with any letter or digit, a superscript too.
+    assert parse_program("{true} x² := 1 {x² = 1}").program == Assign("x²", Num(1))
+    assert p("_1 + x1") == Op("+", (Var("_1"), Var("x1")))
+
+
+def test_end_of_input_is_located_past_a_trailing_comment():
+    with pytest.raises(ParseError, match="2:16: expected '{' opening the postcondition"):
+        parse_program("{true}\nskip -- no post")
+
+
 # --- sort checking at parse time -------------------------------------------
 
 

@@ -90,6 +90,15 @@ def test_input_vars_block_locals_not_inputs():
     assert input_vars(t) == []
 
 
+def test_input_vars_include_what_only_the_post_reads():
+    # k is read by the post alone, and x only after every path wrote it.
+    t = parse_program("{true} x := 0; WHILE x < 3 DO x := x + 1 {x = 3 /\\ k = 0}")
+    assert input_vars(t) == ["k"]
+    # y is written on one branch only, so the post can observe its initial value.
+    t = parse_program("{true} IF n = 0 THEN y := 1 ELSE skip {y = 1}")
+    assert input_vars(t) == ["n", "y"]
+
+
 # --- trajectory collection -----------------------------------------------------
 
 
